@@ -13,7 +13,7 @@ import sys
 from pathlib import Path
 
 from . import harness
-from .episode import deserialize
+from .episode import read_trajectories
 from .harness import RunConfig, load_run_record, load_validity_pools
 from .lm import ENV_API_KEY, ENV_BASE_URL, ENV_MODEL
 from .strategies import STRATEGIES
@@ -221,15 +221,10 @@ def cmd_replay(args) -> int:
     path = Path(args.trajectory)
     if not path.is_file():
         raise CliError(f"no such trajectory file: {path}")
-    records = []
-    with open(path, encoding="utf-8") as fh:
-        for lineno, line in enumerate(fh, start=1):
-            if not line.strip():
-                continue
-            try:
-                records.append(deserialize(line))
-            except ValueError as exc:
-                raise CliError(f"{path}:{lineno}: {exc}") from None
+    try:
+        records = list(read_trajectories(path))
+    except ValueError as exc:
+        raise CliError(str(exc)) from None
     if not records:
         raise CliError(f"{path} contains no trajectory records")
     if not 0 <= args.index < len(records):

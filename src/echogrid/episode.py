@@ -72,14 +72,14 @@ def run_episode(
         except PolicyError as exc:
             traj.note = f"policy failure: {exc}"
             break
-        world, effect = step(world, action)
+        world, valid = step(world, action)
         reward = 1 if goal_satisfied(world, goal) else 0
         traj.steps.append(
             StepRecord(
                 observation_text=observation.text,
                 thought=thought,
                 action_index=action,
-                was_valid=effect.valid,
+                was_valid=valid,
                 step_reward=reward,
             )
         )

@@ -15,7 +15,7 @@ import logging
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import asdict, dataclass, field
 from pathlib import Path
-from typing import Callable, Optional
+from typing import Optional
 
 from .episode import Trajectory, run_episode, serialize
 from .lm import BackendError, LiveBackend
@@ -32,6 +32,7 @@ CONFIG_VERSION = 1
 METRICS_HEADER = "env_seed,episode,goal,reward,steps,cum_avg_reward,strategy"
 
 SCRIPTED_BACKENDS = ("scripted:turn-left", "scripted:oracle", "scripted:bfs-demo")
+MAX_DEFAULT_WORKERS = 8  # so a long seed list does not start one thread per env by default
 
 
 @dataclass(frozen=True)
@@ -194,7 +195,7 @@ def run_stream(config: RunConfig, out_dir: Optional[Path] = None) -> RunRecord:
     if out_dir is not None and config.backend == "live":
         Path(out_dir).mkdir(parents=True, exist_ok=True)
         mirror_path = str(Path(out_dir) / "lm_calls.jsonl")
-    workers = config.workers or len(config.env_seeds)
+    workers = config.workers or min(len(config.env_seeds), MAX_DEFAULT_WORKERS)
     if workers > 1 and len(config.env_seeds) > 1:
         with ThreadPoolExecutor(max_workers=workers) as pool:
             streams = list(
@@ -319,7 +320,6 @@ def validity_analysis(
     n_samples: int,
     sample_seed: int = 0,
     horizon: int = 64,
-    classifier: Callable[[Trajectory], str] = default_failure_classifier,
 ) -> ValidityReport:
     """Run sampled (goal, workflow) pairs with the workflow injected into the
     system prompt and count how many reach their goal.
@@ -373,7 +373,7 @@ def validity_analysis(
                     env_seed=env_seed,
                     goal=goal_text,
                     workflow=workflow,
-                    classification=classifier(trajectory),
+                    classification=default_failure_classifier(trajectory),
                 )
             )
     return ValidityReport(successes=successes, total=len(flat), failures=failures)

@@ -19,6 +19,8 @@ from typing import Optional, Protocol, runtime_checkable
 
 import requests
 
+from .world import ACTION_NAMES
+
 logger = logging.getLogger(__name__)
 
 ENV_API_KEY = "LM_API_KEY"
@@ -66,9 +68,6 @@ class LMRequest:
 
 @runtime_checkable
 class LMBackend(Protocol):
-    deterministic: bool
-    live: bool
-
     def complete(self, request: LMRequest) -> str: ...
 
 
@@ -105,9 +104,6 @@ class BackendStats:
 
 class LiveBackend:
     """OpenAI-compatible chat-completion client with bounded retries."""
-
-    deterministic = False
-    live = True
 
     MAX_ATTEMPTS = 3
     RETRY_STATUSES = {429, 500, 502, 503, 504}
@@ -245,13 +241,16 @@ def _coerce_text(value) -> str:
 
 
 def parse_choice(text: str) -> tuple[str, int]:
-    """Extract ("thought", "choice") from an agent reply."""
+    """Extract ("thought", "choice") from an agent reply; choice is an action index."""
     obj = _first_json_object(text)
     if "thought" not in obj:
         raise ParseError("reply is missing key 'thought'", missing_key="thought")
     if "choice" not in obj:
         raise ParseError("reply is missing key 'choice'", missing_key="choice")
-    return _coerce_text(obj["thought"]), _coerce_int(obj["choice"])
+    choice = _coerce_int(obj["choice"])
+    if not 0 <= choice < len(ACTION_NAMES):
+        raise ParseError(f"choice {choice} is not an action index 0..{len(ACTION_NAMES) - 1}")
+    return _coerce_text(obj["thought"]), choice
 
 
 def parse_json_payload(text: str, required_keys: dict[str, type]) -> dict:

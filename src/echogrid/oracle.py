@@ -42,7 +42,7 @@ class PlanningError(Exception):
 
 
 class ScriptExhaustedError(Exception):
-    """A strict scripted backend ran out of canned responses."""
+    """A scripted backend ran out of canned responses."""
 
 
 def _door_table(world: GridWorld):
@@ -280,25 +280,19 @@ def _choice(thought: str, action: int) -> str:
 class ScriptedBackend:
     """Deterministic backend driven by a canned list or a rule function.
 
-    Every request is recorded so tests can assert exact call counts. In
-    strict mode an exhausted script raises instead of repeating the last
-    response.
+    Every request is recorded so tests can assert exact call counts. An
+    exhausted script raises.
     """
-
-    deterministic = True
-    live = False
 
     def __init__(
         self,
         script: Optional[list[str]] = None,
         rules: Optional[Callable[[LMRequest], str]] = None,
-        strict: bool = True,
     ):
         if (script is None) == (rules is None):
             raise ValueError("provide exactly one of script or rules")
         self.script = list(script) if script is not None else None
         self.rules = rules
-        self.strict = strict
         self.requests: list[LMRequest] = []
 
     @property
@@ -311,11 +305,7 @@ class ScriptedBackend:
             return self.rules(request)
         index = len(self.requests) - 1
         if index >= len(self.script):
-            if self.strict:
-                raise ScriptExhaustedError(
-                    f"script exhausted after {len(self.script)} responses"
-                )
-            index = len(self.script) - 1
+            raise ScriptExhaustedError(f"script exhausted after {len(self.script)} responses")
         return self.script[index]
 
 
@@ -389,7 +379,7 @@ class OracleBackend(_RuleBackend):
         return _choice("Plan exhausted; holding position.", TURN_LEFT)
 
 
-class DemoBackend(_RuleBackend):
+class DemoBackend(OracleBackend):
     """World-aware scripted stack for offline end-to-end demonstrations.
 
     Acting: follows a workflow from the "Known workflows:" section of the
@@ -402,16 +392,8 @@ class DemoBackend(_RuleBackend):
     """
 
     def __init__(self, world: GridWorld):
-        super().__init__()
-        self.world = reset(copy_world(world))
+        super().__init__(world)
         self.tour = sighting_tour(self.world)
-        self._plans: dict[str, list[int]] = {}
-
-    def _plan(self, goal: Goal) -> list[int]:
-        key = canonical_goal(render_goal(goal))
-        if key not in self._plans:
-            self._plans[key] = bfs_plan(self.world, goal)
-        return self._plans[key]
 
     def _on_agent(self, request: LMRequest) -> str:
         index = _steps_taken(request)
@@ -458,20 +440,8 @@ class DemoBackend(_RuleBackend):
         goal_text = _goal_line(_last_user_content(request))
         try:
             goal = parse_goal(goal_text)
-            plan = self._plan(goal)
+            plan = self.plan_for(goal)
         except (ValueError, PlanningError):
             return json.dumps({"goal": goal_text, "workflow": ""})
         return json.dumps({"goal": goal_text, "workflow": route_text(plan, goal)})
 
-
-def oracle_policy(world: GridWorld, goal: Goal, horizon: int = 64):
-    """Policy that replays the BFS plan through the normal acting pipeline."""
-    from .policy import ReactPolicy
-
-    backend = OracleBackend(world)
-    backend.plan_for(goal)  # surface infeasibility eagerly
-    return ReactPolicy(backend, horizon=horizon)
-
-
-def scripted_echo_backend(world: GridWorld) -> DemoBackend:
-    return DemoBackend(world)

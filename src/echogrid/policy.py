@@ -23,18 +23,9 @@ from .textview import Observation
 
 
 class ReactPolicy:
-    def __init__(
-        self,
-        backend: LMBackend,
-        horizon: int = 64,
-        memory_text: str = "",
-        temperature: float = AGENT_TEMPERATURE,
-        max_new_tokens: int = AGENT_MAX_NEW_TOKENS,
-    ):
+    def __init__(self, backend: LMBackend, horizon: int = 64, memory_text: str = ""):
         self.backend = backend
         self.system_prompt = prompts.agent_system_prompt(horizon, memory_text)
-        self.temperature = temperature
-        self.max_new_tokens = max_new_tokens
         self.goal_text = ""
         self.messages: list[dict[str, str]] = []
         self.calls_per_step: list[int] = []
@@ -52,8 +43,8 @@ class ReactPolicy:
         request = LMRequest(
             system_prompt=self.system_prompt,
             messages=list(self.messages),
-            temperature=self.temperature,
-            max_new_tokens=self.max_new_tokens,
+            temperature=AGENT_TEMPERATURE,
+            max_new_tokens=AGENT_MAX_NEW_TOKENS,
         )
         self.calls_per_step[-1] += 1
         return self.backend.complete(request)

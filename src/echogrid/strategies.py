@@ -1,25 +1,25 @@
-"""Memory strategies: the hindsight rule / update rule pairs.
+"""Memory strategies: one (hindsight rule, memory kind) row per strategy.
 
-Each strategy is the pair (how a finished trajectory becomes memory
-candidates, how candidates merge into stored memory) plus a renderer that
-injects the memory into the acting agent's system prompt. after_episode is
-the only cross-episode information channel.
+A hindsight rule turns a finished trajectory into memory candidates; the
+memory kind fixes the update rule that merges them and how the memory is
+rendered into the acting agent's system prompt. after_episode is the only
+cross-episode information channel.
 
-  echo      three offline calls (summarize, identify_goals, then one
-            infer_traj per proposed goal); goal-keyed buffer keeps the
-            shorter workflow on collision
-  reflexion one reflect call; appends a note to semantic memory
-  awm       one call; appends (goal, workflow) only when the model judges
-            the episode successful (duplicates allowed)
-  awmpp     awm's hindsight rule with the keep-shorter keyed update rule
-  react     no memory at all
+  react      no hindsight rule, no memory
+  reflexion  one reflect call; appends the note to a semantic list
+  awm        one call; appends (goal, workflow) to a workflow log only when
+             the model judges the episode successful (duplicates allowed)
+  awmpp      awm's hindsight rule with the goal-keyed replay buffer
+  echo       three offline calls (summarize, identify_goals, then one
+             infer_traj per proposed goal) into the replay buffer, which
+             keeps the shorter workflow on collision
 """
 
 from __future__ import annotations
 
 import logging
 from dataclasses import dataclass, field
-from typing import Optional, Protocol
+from typing import Callable, Iterator, Optional
 
 from . import prompts
 from .episode import Trajectory, format_trajectory
@@ -49,20 +49,6 @@ class ReplayBuffer:
         return len(self.entries)
 
 
-@dataclass
-class WorkflowLog:
-    """Append-only (goal, workflow) log; duplicates allowed."""
-
-    entries: list[tuple[str, str]] = field(default_factory=list)
-
-
-@dataclass
-class SemanticMemory:
-    """Append-only reflections."""
-
-    reflections: list[str] = field(default_factory=list)
-
-
 def update_rule(buffer: ReplayBuffer, goal: str, new_workflow: str) -> ReplayBuffer:
     """Insert if absent; replace only when strictly shorter (character count).
 
@@ -77,106 +63,68 @@ def update_rule(buffer: ReplayBuffer, goal: str, new_workflow: str) -> ReplayBuf
     return buffer
 
 
-def _offline_request(system_prompt: str, user_text: str) -> LMRequest:
-    return LMRequest(
-        system_prompt=system_prompt,
-        messages=[{"role": "user", "content": user_text}],
-        temperature=OFFLINE_TEMPERATURE,
-        max_new_tokens=OFFLINE_MAX_NEW_TOKENS,
+def _ask(
+    backend: LMBackend, stage: str, system_prompt: str, user_text: str, keys: Optional[dict] = None
+):
+    """One offline call, parsed for keys (or as a summary when keys is None).
+
+    A reply that does not parse is logged and yields None.
+    """
+    reply = backend.complete(
+        LMRequest(
+            system_prompt=system_prompt,
+            messages=[{"role": "user", "content": user_text}],
+            temperature=OFFLINE_TEMPERATURE,
+            max_new_tokens=OFFLINE_MAX_NEW_TOKENS,
+        )
     )
+    try:
+        return parse_summary(reply) if keys is None else parse_json_payload(reply, keys)
+    except ParseError as exc:
+        logger.warning("%s parse failure: %s", stage, exc)
+        return None
 
 
-def echo_after_episode(
-    backend: LMBackend, trajectory: Trajectory, buffer: ReplayBuffer
-) -> ReplayBuffer:
+def echo_hindsight(backend: LMBackend, trajectory: Trajectory) -> Iterator[tuple[str, str]]:
     """Hindsight pass over any finished episode, success or failure.
 
-    summarize -> identify_goals -> infer_traj per goal, then the keep-shorter
-    update per goal. An empty goal list is an abstention and changes nothing.
-    A parse failure skips that stage's products and leaves affected goals
-    untouched.
+    summarize -> identify_goals -> infer_traj per goal. An empty goal list is
+    an abstention. A parse failure skips that stage's products.
     """
-    transcript = format_trajectory(trajectory)
-    try:
-        summary = parse_summary(
-            backend.complete(_offline_request(prompts.ECHO_SUMMARIZE, transcript))
+    summary = _ask(backend, "echo summarize", prompts.ECHO_SUMMARIZE, format_trajectory(trajectory))
+    if summary is None:
+        return
+    proposed = _ask(
+        backend, "echo identify_goals", prompts.ECHO_IDENTIFY_GOALS,
+        f"Trajectory summary:\n{summary}", {"possible_goals": list},
+    )
+    if proposed is None:
+        return
+    for goal_text in proposed["possible_goals"][:MAX_GOALS_PER_EPISODE]:
+        payload = _ask(
+            backend, f"echo infer_traj for {goal_text!r}", prompts.ECHO_INFER_TRAJ,
+            f"Goal: {goal_text}\n\nTrajectory summary:\n{summary}", {"goal": str, "workflow": str},
         )
-    except ParseError as exc:
-        logger.warning("echo summarize parse failure: %s", exc)
-        return buffer
-    try:
-        reply = backend.complete(
-            _offline_request(
-                prompts.ECHO_IDENTIFY_GOALS, f"Trajectory summary:\n{summary}"
-            )
-        )
-        goals = parse_json_payload(reply, {"possible_goals": list})["possible_goals"]
-    except ParseError as exc:
-        logger.warning("echo identify_goals parse failure: %s", exc)
-        return buffer
-    for goal_text in goals[:MAX_GOALS_PER_EPISODE]:
-        try:
-            reply = backend.complete(
-                _offline_request(
-                    prompts.ECHO_INFER_TRAJ,
-                    f"Goal: {goal_text}\n\nTrajectory summary:\n{summary}",
-                )
-            )
-            payload = parse_json_payload(reply, {"goal": str, "workflow": str})
-        except ParseError as exc:
-            logger.warning("echo infer_traj parse failure for %r: %s", goal_text, exc)
-            continue
-        if payload["workflow"]:
-            update_rule(buffer, payload["goal"], payload["workflow"])
-    return buffer
+        if payload is not None and payload["workflow"]:
+            yield payload["goal"], payload["workflow"]
 
 
-def reflexion_after_episode(
-    backend: LMBackend, trajectory: Trajectory, memory: SemanticMemory
-) -> SemanticMemory:
-    """One reflect call; memory grows by exactly one entry per parsed reply."""
-    try:
-        reply = backend.complete(
-            _offline_request(prompts.REFLEXION, format_trajectory(trajectory))
-        )
-        reflection = parse_json_payload(reply, {"reflection": str})["reflection"]
-    except ParseError as exc:
-        logger.warning("reflexion parse failure: %s", exc)
-        return memory
-    memory.reflections.append(reflection)
-    return memory
+def reflexion_hindsight(backend: LMBackend, trajectory: Trajectory) -> Iterator[str]:
+    """One reflect call; one note per parsed reply."""
+    payload = _ask(
+        backend, "reflexion", prompts.REFLEXION, format_trajectory(trajectory), {"reflection": str}
+    )
+    if payload is not None:
+        yield payload["reflection"]
 
 
-def _awm_call(backend: LMBackend, trajectory: Trajectory) -> Optional[tuple[str, str]]:
-    try:
-        reply = backend.complete(
-            _offline_request(prompts.AWM, format_trajectory(trajectory))
-        )
-        payload = parse_json_payload(reply, {"goal": str, "workflow": str})
-    except ParseError as exc:
-        logger.warning("awm parse failure: %s", exc)
-        return None
-    if not payload["workflow"]:
-        return None  # the model judged the episode unsuccessful
-    return canonical_goal(payload["goal"]), payload["workflow"]
-
-
-def awm_after_episode(
-    backend: LMBackend, trajectory: Trajectory, log: WorkflowLog
-) -> WorkflowLog:
-    entry = _awm_call(backend, trajectory)
-    if entry is not None:
-        log.entries.append(entry)
-    return log
-
-
-def awmpp_after_episode(
-    backend: LMBackend, trajectory: Trajectory, buffer: ReplayBuffer
-) -> ReplayBuffer:
-    entry = _awm_call(backend, trajectory)
-    if entry is not None:
-        update_rule(buffer, entry[0], entry[1])
-    return buffer
+def awm_hindsight(backend: LMBackend, trajectory: Trajectory) -> Iterator[tuple[str, str]]:
+    """One call; an empty workflow means the model judged the episode unsuccessful."""
+    payload = _ask(
+        backend, "awm", prompts.AWM, format_trajectory(trajectory), {"goal": str, "workflow": str}
+    )
+    if payload is not None and payload["workflow"]:
+        yield canonical_goal(payload["goal"]), payload["workflow"]
 
 
 def render_workflows(pairs) -> str:
@@ -185,124 +133,75 @@ def render_workflows(pairs) -> str:
     return "\n".join(lines)
 
 
-class MemoryStrategy(Protocol):
+@dataclass(frozen=True)
+class Strategy:
+    """A hindsight rule plus the kind of memory its candidates merge into.
+
+    memory is "none", "semantic" (list of notes), "workflow_log" (list of
+    (goal, workflow) pairs) or "replay_buffer" (ReplayBuffer, merged with
+    update_rule).
+    """
+
     name: str
-
-    def new_memory(self): ...
-
-    def after_episode(self, backend: LMBackend, trajectory: Trajectory, memory): ...
-
-    def render_memory(self, memory) -> str: ...
-
-    def memory_snapshot(self, memory) -> dict: ...
-
-    def load_snapshot(self, doc: dict): ...
-
-
-class ReactStrategy:
-    """Memoryless baseline: pure act-only agent."""
-
-    name = "react"
+    hindsight: Optional[Callable[[LMBackend, Trajectory], Iterator]]
+    memory: str
 
     def new_memory(self):
-        return None
+        if self.memory == "none":
+            return None
+        return ReplayBuffer() if self.memory == "replay_buffer" else []
 
-    def after_episode(self, backend, trajectory, memory):
+    def after_episode(self, backend: LMBackend, trajectory: Trajectory, memory):
+        """Merge each candidate as the hindsight rule yields it, so a
+        BackendError part way through keeps the updates made before it."""
+        if self.hindsight is None:
+            return memory
+        for candidate in self.hindsight(backend, trajectory):
+            if self.memory == "replay_buffer":
+                update_rule(memory, *candidate)
+            else:
+                memory.append(candidate)
         return memory
 
+    def _pairs(self, memory):
+        return memory.entries.items() if self.memory == "replay_buffer" else memory
+
     def render_memory(self, memory) -> str:
-        return ""
+        if not memory:
+            return ""
+        if self.memory == "semantic":
+            return "\n".join(["Notes from previous episodes:"] + memory)
+        return render_workflows(self._pairs(memory))
 
     def memory_snapshot(self, memory) -> dict:
-        return {"kind": "none"}
+        if self.memory == "none":
+            return {"kind": "none"}
+        if self.memory == "semantic":
+            return {"kind": "semantic", "reflections": list(memory)}
+        return {"kind": self.memory, "entries": [[g, w] for g, w in self._pairs(memory)]}
 
-    def load_snapshot(self, doc):
-        return None
-
-
-class EchoStrategy:
-    name = "echo"
-
-    def new_memory(self) -> ReplayBuffer:
-        return ReplayBuffer()
-
-    def after_episode(self, backend, trajectory, memory: ReplayBuffer) -> ReplayBuffer:
-        return echo_after_episode(backend, trajectory, memory)
-
-    def render_memory(self, memory: ReplayBuffer) -> str:
-        if not memory.entries:
-            return ""
-        return render_workflows(memory.entries.items())
-
-    def memory_snapshot(self, memory: ReplayBuffer) -> dict:
-        return {"kind": "replay_buffer", "entries": [[g, w] for g, w in memory.entries.items()]}
-
-    def load_snapshot(self, doc: dict) -> ReplayBuffer:
-        return ReplayBuffer(entries={g: w for g, w in doc["entries"]})
+    def load_snapshot(self, doc: dict):
+        if self.memory == "none":
+            return None
+        if self.memory == "semantic":
+            return list(doc["reflections"])
+        pairs = [(g, w) for g, w in doc["entries"]]
+        return ReplayBuffer(entries=dict(pairs)) if self.memory == "replay_buffer" else pairs
 
 
-class AwmPlusPlusStrategy(EchoStrategy):
-    name = "awmpp"
-
-    def after_episode(self, backend, trajectory, memory: ReplayBuffer) -> ReplayBuffer:
-        return awmpp_after_episode(backend, trajectory, memory)
-
-
-class AwmStrategy:
-    name = "awm"
-
-    def new_memory(self) -> WorkflowLog:
-        return WorkflowLog()
-
-    def after_episode(self, backend, trajectory, memory: WorkflowLog) -> WorkflowLog:
-        return awm_after_episode(backend, trajectory, memory)
-
-    def render_memory(self, memory: WorkflowLog) -> str:
-        if not memory.entries:
-            return ""
-        return render_workflows(memory.entries)
-
-    def memory_snapshot(self, memory: WorkflowLog) -> dict:
-        return {"kind": "workflow_log", "entries": [[g, w] for g, w in memory.entries]}
-
-    def load_snapshot(self, doc: dict) -> WorkflowLog:
-        return WorkflowLog(entries=[(g, w) for g, w in doc["entries"]])
-
-
-class ReflexionStrategy:
-    name = "reflexion"
-
-    def new_memory(self) -> SemanticMemory:
-        return SemanticMemory()
-
-    def after_episode(self, backend, trajectory, memory: SemanticMemory) -> SemanticMemory:
-        return reflexion_after_episode(backend, trajectory, memory)
-
-    def render_memory(self, memory: SemanticMemory) -> str:
-        if not memory.reflections:
-            return ""
-        return "\n".join(["Notes from previous episodes:"] + memory.reflections)
-
-    def memory_snapshot(self, memory: SemanticMemory) -> dict:
-        return {"kind": "semantic", "reflections": list(memory.reflections)}
-
-    def load_snapshot(self, doc: dict) -> SemanticMemory:
-        return SemanticMemory(reflections=list(doc["reflections"]))
-
-
-STRATEGIES: dict[str, MemoryStrategy] = {
+STRATEGIES: dict[str, Strategy] = {
     s.name: s
     for s in (
-        ReactStrategy(),
-        ReflexionStrategy(),
-        AwmStrategy(),
-        AwmPlusPlusStrategy(),
-        EchoStrategy(),
+        Strategy("react", None, "none"),
+        Strategy("reflexion", reflexion_hindsight, "semantic"),
+        Strategy("awm", awm_hindsight, "workflow_log"),
+        Strategy("awmpp", awm_hindsight, "replay_buffer"),
+        Strategy("echo", echo_hindsight, "replay_buffer"),
     )
 }
 
 
-def get_strategy(name: str) -> MemoryStrategy:
+def get_strategy(name: str) -> Strategy:
     try:
         return STRATEGIES[name]
     except KeyError:

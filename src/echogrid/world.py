@@ -67,8 +67,6 @@ class Goal:
 class GenConfig:
     width: int = 13
     height: int = 13
-    n_rooms: int = 4
-    n_objects: int = 4
 
 
 @dataclass
@@ -93,13 +91,6 @@ class AgentPose:
     facing: str
     carrying: Optional[int]  # index into GridWorld.objects
     home: tuple[tuple[int, int], str]
-
-
-@dataclass
-class StepEffect:
-    action: int
-    valid: bool
-    event: str
 
 
 @dataclass
@@ -144,10 +135,6 @@ class GridWorld:
 
 def _layout(config: GenConfig):
     """Static wall layout for the 2x2 partition; raises on impossible sizes."""
-    if config.n_rooms != 4:
-        raise GenerationError("only the 2x2 four-room partition is supported")
-    if config.n_objects != 4:
-        raise GenerationError("exactly one object per room is required (4 objects)")
     w, h = config.width, config.height
     if w % 2 == 0 or h % 2 == 0 or w < 7 or h < 7:
         raise GenerationError(
@@ -208,7 +195,7 @@ def generate(seed: int, config: GenConfig = GenConfig()) -> GridWorld:
 
     obj_rng = stage_stream(seed, "objects")
     combos = [(color, kind) for kind in KINDS for color in COLORS]
-    chosen = obj_rng.sample(combos, config.n_objects)
+    chosen = obj_rng.sample(combos, len(rooms))
     objects: list[WorldObject] = []
     for room, (color, kind) in zip(rooms, chosen):
         candidates = [
@@ -276,47 +263,45 @@ def _can_enter(world: GridWorld, pos: tuple[int, int]) -> bool:
     return False
 
 
-def step(world: GridWorld, action: int) -> tuple[GridWorld, StepEffect]:
-    """Apply one action; invalid actions leave the world unchanged.
-
-    The world object is mutated and returned together with the effect.
-    """
+def step(world: GridWorld, action: int) -> tuple[GridWorld, bool]:
+    """Apply one action and report whether it was valid; invalid actions
+    leave the world unchanged. The world object is mutated and returned."""
     if not 0 <= action <= 5:
-        return world, StepEffect(action=action, valid=False, event="unknown action")
+        return world, False
     ahead = facing_cell(world)
     if action == TURN_LEFT:
         idx = FACINGS.index(world.agent.facing)
         world.agent.facing = FACINGS[(idx - 1) % 4]
-        return world, StepEffect(action, True, "turned left")
+        return world, True
     if action == TURN_RIGHT:
         idx = FACINGS.index(world.agent.facing)
         world.agent.facing = FACINGS[(idx + 1) % 4]
-        return world, StepEffect(action, True, "turned right")
+        return world, True
     if action == GO_FORWARD:
         if _can_enter(world, ahead):
             world.agent.position = ahead
-            return world, StepEffect(action, True, "moved forward")
-        return world, StepEffect(action, False, "blocked")
+            return world, True
+        return world, False
     if action == PICK_UP:
         obj = world.object_at(ahead)
         if world.agent.carrying is None and obj is not None:
             world.agent.carrying = world.objects.index(obj)
             obj.position = None
-            return world, StepEffect(action, True, f"picked up the {obj.color} {obj.kind}")
-        return world, StepEffect(action, False, "nothing to pick up")
+            return world, True
+        return world, False
     if action == PUT_DOWN:
         carried = world.carried_object
         if carried is not None and world.cell(ahead) == FLOOR and world.object_at(ahead) is None:
             carried.position = ahead
             world.agent.carrying = None
-            return world, StepEffect(action, True, f"put down the {carried.color} {carried.kind}")
-        return world, StepEffect(action, False, "cannot put down here")
+            return world, True
+        return world, False
     # TOGGLE_DOOR
     door = world.door_at(ahead)
     if door is not None:
         door.state = "open" if door.state == "closed" else "closed"
-        return world, StepEffect(action, True, f"door is now {door.state}")
-    return world, StepEffect(action, False, "no door to toggle")
+        return world, True
+    return world, False
 
 
 def action_menus(world: GridWorld) -> tuple[dict[int, str], dict[int, str]]:

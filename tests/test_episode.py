@@ -12,7 +12,8 @@ from echogrid.episode import (
     run_episode,
     serialize,
 )
-from echogrid.oracle import bfs_plan, oracle_policy
+from echogrid.oracle import OracleBackend, bfs_plan
+from echogrid.policy import ReactPolicy
 from echogrid.rng import SplitMix64
 from echogrid.world import Goal, copy_world, reset
 
@@ -41,7 +42,7 @@ def _goal(world, index=0) -> Goal:
 def test_oracle_policy_succeeds_within_horizon(bench_worlds):
     for world in bench_worlds:
         goal = _goal(world, 1)
-        traj = run_episode(reset(copy_world(world)), goal, oracle_policy(world, goal))
+        traj = run_episode(reset(copy_world(world)), goal, ReactPolicy(OracleBackend(world)))
         assert traj.success
         assert traj.reward == 1
         assert len(traj.steps) <= 64
@@ -51,7 +52,7 @@ def test_steps_match_bfs_plan_length(world7):
     for index in range(4):
         goal = _goal(world7, index)
         plan = bfs_plan(world7, goal)
-        traj = run_episode(reset(copy_world(world7)), goal, oracle_policy(world7, goal))
+        traj = run_episode(reset(copy_world(world7)), goal, ReactPolicy(OracleBackend(world7)))
         assert len(traj.steps) == len(plan), "early termination right at the pick up"
 
 
@@ -64,7 +65,7 @@ def test_turn_left_policy_exhausts_horizon(world7):
 
 def test_no_steps_after_success(world7):
     goal = _goal(world7)
-    traj = run_episode(reset(copy_world(world7)), goal, oracle_policy(world7, goal))
+    traj = run_episode(reset(copy_world(world7)), goal, ReactPolicy(OracleBackend(world7)))
     assert traj.steps[-1].step_reward == 1
     assert all(s.step_reward == 0 for s in traj.steps[:-1])
     assert traj.reward == max(s.step_reward for s in traj.steps)
@@ -85,8 +86,8 @@ def test_horizon_validation(world7):
 def test_oracle_trajectory_deterministic(world7):
     goal = _goal(world7, 2)
     world = copy_world(world7)
-    first = run_episode(reset(world), goal, oracle_policy(world7, goal))
-    second = run_episode(reset(world), goal, oracle_policy(world7, goal))
+    first = run_episode(reset(world), goal, ReactPolicy(OracleBackend(world7)))
+    second = run_episode(reset(world), goal, ReactPolicy(OracleBackend(world7)))
     assert serialize(first) == serialize(second)
 
 
@@ -186,7 +187,7 @@ def test_policy_aborts_after_second_parse_failure(world7):
 
 def test_format_trajectory_transcript(world7):
     goal = _goal(world7)
-    traj = run_episode(reset(copy_world(world7)), goal, oracle_policy(world7, goal))
+    traj = run_episode(reset(copy_world(world7)), goal, ReactPolicy(OracleBackend(world7)))
     transcript = format_trajectory(traj)
     assert transcript.startswith(f"Goal: Pick up the {goal.color} {goal.kind}")
     assert "Outcome: SUCCESS" in transcript

@@ -187,6 +187,52 @@ def test_run_stream_accounting():
         assert stream.backend_calls == total_agent + total_strategy
 
 
+def test_run_stream_out_of_range_choice_fails_episodes(tmp_path, monkeypatch):
+    """An agent that always answers choice 9 fails each episode; the run still finishes."""
+    from echogrid import harness
+    from echogrid.episode import read_trajectories
+    from echogrid.oracle import ScriptedBackend, classify_request
+
+    def rules(request):
+        if classify_request(request) == "agent":
+            return json.dumps({"thought": "t", "choice": 9})
+        return json.dumps({"reflection": "note"})
+
+    monkeypatch.setattr(
+        harness, "make_backend", lambda spec, world, mirror_path=None: ScriptedBackend(rules=rules)
+    )
+    run_stream(_config(strategy="reflexion"), out_dir=tmp_path)
+    trajectories = list(read_trajectories(tmp_path / "trajectories.jsonl"))
+    assert len(trajectories) == 8
+    for trajectory in trajectories:
+        assert trajectory.steps == []
+        assert trajectory.note.startswith("policy failure: unparseable reply after retry")
+
+
+def test_run_stream_default_workers_capped(monkeypatch):
+    from echogrid import harness
+
+    seen = []
+
+    class RecordingPool:
+        def __init__(self, max_workers):
+            seen.append(max_workers)
+
+        def __enter__(self):
+            return self
+
+        def __exit__(self, *exc):
+            return False
+
+        def map(self, fn, items):
+            return []
+
+    monkeypatch.setattr(harness, "ThreadPoolExecutor", RecordingPool)
+    run_stream(_config(env_seeds=tuple(range(20)), workers=None))
+    run_stream(_config(env_seeds=(0, 1, 2), workers=None))
+    assert seen == [8, 3]
+
+
 def test_run_record_roundtrip_from_dir(tmp_path):
     config = _config(strategy="echo", backend="scripted:bfs-demo")
     record = run_stream(config, out_dir=tmp_path / "run")

@@ -144,6 +144,13 @@ def test_parse_choice_rejects_non_integer():
         parse_choice("no json here at all")
 
 
+def test_parse_choice_rejects_out_of_range():
+    for choice in ("9", "-1", "6", '"9"'):
+        with pytest.raises(ParseError, match="action index"):
+            parse_choice('{"thought": "hm", "choice": %s}' % choice)
+    assert parse_choice('{"thought": "hm", "choice": 5}') == ("hm", 5)
+
+
 def test_parse_payload_awm_failure_golden():
     text = '{\n  "goal": "Pick up grey key.",\n  "workflow": ""\n}'
     payload = parse_json_payload(text, {"goal": str, "workflow": str})
@@ -185,7 +192,8 @@ def _garbage(rng: SplitMix64) -> str:
     pieces = (
         "{", "}", "[", "]", '"', ":", ",", "null", "true", "2", "-7", "1e9",
         '{"thought"', '"choice"', "\\", "\n", " ", "π", "assistant", "choice",
-        '{"a": {"b": 1}}', "```", "0x1f",
+        '{"a": {"b": 1}}', "```", "0x1f", '{"thought": "t", "choice": 9}',
+        '{"thought": "t", "choice": -1}',
     )
     return "".join(pieces[rng.randbelow(len(pieces))] for _ in range(rng.randbelow(30)))
 
@@ -195,8 +203,11 @@ def test_parser_totality_fuzz():
     rng = SplitMix64(7)
     for _ in range(2000):
         text = _garbage(rng)
+        try:
+            assert 0 <= parse_choice(text)[1] <= 5, "a parsed choice is an action index"
+        except ParseError:
+            pass
         for call in (
-            lambda: parse_choice(text),
             lambda: parse_json_payload(text, {"goal": str, "workflow": str}),
             lambda: parse_summary(text),
         ):

@@ -17,11 +17,9 @@ from echogrid.oracle import (
     bfs_plan,
     classify_request,
     extract_mentions,
-    oracle_policy,
     parse_route,
     route_text,
     sighting_tour,
-    scripted_echo_backend,
 )
 from echogrid.policy import ReactPolicy
 from echogrid.prompts import (
@@ -127,8 +125,8 @@ def test_bfs_plans_execute_successfully(bench_worlds):
             goal = Goal(obj.color, obj.kind)
             scratch = reset(copy_world(world))
             for action in bfs_plan(world, goal):
-                _, effect = step(scratch, action)
-                assert effect.valid, "BFS plans never contain invalid actions"
+                _, valid = step(scratch, action)
+                assert valid, "BFS plans never contain invalid actions"
             assert goal_satisfied(scratch, goal)
 
 
@@ -142,7 +140,7 @@ def test_oracle_policy_outputs_parse(world7):
 
 def test_oracle_policy_episode_matches_plan(world7):
     goal = Goal(world7.objects[3].color, world7.objects[3].kind)
-    policy = oracle_policy(world7, goal)
+    policy = ReactPolicy(OracleBackend(world7))
     traj = run_episode(reset(copy_world(world7)), goal, policy)
     assert traj.success
     assert len(traj.steps) == len(bfs_plan(world7, goal))
@@ -157,9 +155,6 @@ def test_scripted_backend_records_and_strict_exhaustion():
     assert backend.calls == 2
     with pytest.raises(ScriptExhaustedError):
         backend.complete(request)
-    lenient = ScriptedBackend(script=["only"], strict=False)
-    assert lenient.complete(request) == "only"
-    assert lenient.complete(request) == "only"
 
 
 def test_scripted_backend_requires_exactly_one_source():
@@ -205,7 +200,7 @@ def test_route_text_roundtrip(world7):
 
 
 def test_demo_backend_summary_lists_seen_entities(world7):
-    backend = scripted_echo_backend(world7)
+    backend = DemoBackend(world7)
     goal = Goal(world7.objects[0].color, world7.objects[0].kind)
     policy = ReactPolicy(backend, horizon=64)
     traj = run_episode(reset(copy_world(world7)), goal, policy)
@@ -245,7 +240,7 @@ def test_demo_backend_abstains_when_nothing_seen():
 
 def test_demo_backend_workflows_execute(world7):
     """BFS-backed workflows from infer_traj are valid by construction."""
-    backend = scripted_echo_backend(world7)
+    backend = DemoBackend(world7)
     for obj in world7.objects:
         goal = Goal(obj.color, obj.kind)
         reply = backend.complete(

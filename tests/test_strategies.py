@@ -7,16 +7,12 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from echogrid.episode import StepRecord, Trajectory
+from echogrid.lm import BackendError
 from echogrid.oracle import ScriptedBackend
 from echogrid.strategies import (
+    STRATEGIES,
     ReplayBuffer,
-    SemanticMemory,
-    WorkflowLog,
-    awm_after_episode,
-    awmpp_after_episode,
-    echo_after_episode,
     get_strategy,
-    reflexion_after_episode,
     render_workflows,
     update_rule,
 )
@@ -105,7 +101,7 @@ def test_echo_inserts_and_replaces_on_collision():
     backend = _echo_script(
         [("Pick up the grey star", "short route"), ("Pick up the red ball", "fresh route")]
     )
-    echo_after_episode(backend, _trajectory(), buffer)
+    STRATEGIES["echo"].after_episode(backend, _trajectory(), buffer)
     assert buffer.entries["pick up the grey star"] == "short route"
     assert buffer.entries["pick up the red ball"] == "fresh route"
     # oracle: brute-force application of the documented rule
@@ -115,7 +111,7 @@ def test_echo_inserts_and_replaces_on_collision():
 def test_echo_abstention_leaves_buffer_unchanged():
     backend = _echo_script([])
     buffer = ReplayBuffer(entries={"g": "w"})
-    echo_after_episode(backend, _trajectory(), buffer)
+    STRATEGIES["echo"].after_episode(backend, _trajectory(), buffer)
     assert buffer.entries == {"g": "w"}
     assert backend.calls == 2, "abstention still costs summarize + identify_goals"
 
@@ -123,14 +119,14 @@ def test_echo_abstention_leaves_buffer_unchanged():
 def test_echo_longer_candidate_never_replaces():
     buffer = ReplayBuffer(entries={"pick up the grey star": "ab"})
     backend = _echo_script([("Pick up the grey star", "much longer workflow")])
-    echo_after_episode(backend, _trajectory(), buffer)
+    STRATEGIES["echo"].after_episode(backend, _trajectory(), buffer)
     assert buffer.entries == {"pick up the grey star": "ab"}
 
 
 def test_echo_summarize_parse_failure_skips_episode():
     backend = ScriptedBackend(script=["no json at all"])
     buffer = ReplayBuffer(entries={"g": "w"})
-    echo_after_episode(backend, _trajectory(), buffer)
+    STRATEGIES["echo"].after_episode(backend, _trajectory(), buffer)
     assert buffer.entries == {"g": "w"}
     assert backend.calls == 1
 
@@ -143,15 +139,33 @@ def test_echo_infer_parse_failure_skips_only_that_goal():
         json.dumps({"goal": "Pick up the red ball", "workflow": "valid route"}),
     ]
     buffer = ReplayBuffer()
-    echo_after_episode(ScriptedBackend(script=script), _trajectory(), buffer)
+    STRATEGIES["echo"].after_episode(ScriptedBackend(script=script), _trajectory(), buffer)
     assert buffer.entries == {"pick up the red ball": "valid route"}
+
+
+def test_echo_backend_error_keeps_earlier_updates():
+    """Candidates merge as they arrive, so a failing later call keeps earlier ones."""
+
+    class FailsOnFourthCall(ScriptedBackend):
+        def complete(self, request):
+            if self.calls == 3:
+                raise BackendError("connection reset")
+            return super().complete(request)
+
+    script = _echo_script(
+        [("Pick up the grey star", "route one"), ("Pick up the red ball", "route two")]
+    ).script
+    buffer = ReplayBuffer()
+    with pytest.raises(BackendError):
+        STRATEGIES["echo"].after_episode(FailsOnFourthCall(script=script), _trajectory(), buffer)
+    assert buffer.entries == {"pick up the grey star": "route one"}
 
 
 def test_echo_caps_goals_per_episode():
     goals = [(f"Pick up the goal{i}", f"w{i}") for i in range(12)]
     backend = _echo_script(goals)
     buffer = ReplayBuffer()
-    echo_after_episode(backend, _trajectory(), buffer)
+    STRATEGIES["echo"].after_episode(backend, _trajectory(), buffer)
     assert len(buffer.entries) == 8
     assert backend.calls == 2 + 8
 
@@ -159,7 +173,7 @@ def test_echo_caps_goals_per_episode():
 def test_echo_empty_workflow_not_stored():
     backend = _echo_script([("Pick up the grey star", "")])
     buffer = ReplayBuffer()
-    echo_after_episode(backend, _trajectory(), buffer)
+    STRATEGIES["echo"].after_episode(backend, _trajectory(), buffer)
     assert buffer.entries == {}
 
 
@@ -169,38 +183,38 @@ def test_reflexion_appends_one_reflection_per_episode():
         "adjacent to the target item."
     )
     backend = ScriptedBackend(script=[json.dumps({"reflection": reflection})] * 2)
-    memory = SemanticMemory()
-    reflexion_after_episode(backend, _trajectory(), memory)
-    assert memory.reflections == [reflection]
-    reflexion_after_episode(backend, _trajectory(), memory)
-    assert len(memory.reflections) == 2
+    memory = []
+    STRATEGIES["reflexion"].after_episode(backend, _trajectory(), memory)
+    assert memory == [reflection]
+    STRATEGIES["reflexion"].after_episode(backend, _trajectory(), memory)
+    assert len(memory) == 2
     assert backend.calls == 2
 
 
 def test_reflexion_malformed_output_appends_nothing():
     backend = ScriptedBackend(script=["not json"])
-    memory = SemanticMemory()
-    reflexion_after_episode(backend, _trajectory(), memory)
-    assert memory.reflections == []
+    memory = []
+    STRATEGIES["reflexion"].after_episode(backend, _trajectory(), memory)
+    assert memory == []
 
 
 def test_awm_failure_payload_is_noop():
     backend = ScriptedBackend(
         script=[json.dumps({"goal": "Pick up grey key.", "workflow": ""})]
     )
-    log = WorkflowLog()
-    awm_after_episode(backend, _trajectory(success=False), log)
-    assert log.entries == []
+    log = []
+    STRATEGIES["awm"].after_episode(backend, _trajectory(success=False), log)
+    assert log == []
     assert backend.calls == 1
 
 
 def test_awm_appends_success_and_allows_duplicates():
     reply = json.dumps({"goal": "Pick up the grey key", "workflow": "go north"})
     backend = ScriptedBackend(script=[reply, reply])
-    log = WorkflowLog()
-    awm_after_episode(backend, _trajectory(success=True), log)
-    awm_after_episode(backend, _trajectory(success=True), log)
-    assert log.entries == [
+    log = []
+    STRATEGIES["awm"].after_episode(backend, _trajectory(success=True), log)
+    STRATEGIES["awm"].after_episode(backend, _trajectory(success=True), log)
+    assert log == [
         ("pick up the grey key", "go north"),
         ("pick up the grey key", "go north"),
     ]
@@ -213,35 +227,35 @@ def test_awmpp_keyed_differs_from_awm_append():
         json.dumps({"goal": "Pick up the grey key", "workflow": "short"}),
         json.dumps({"goal": "Pick up grey key.", "workflow": "mid route"}),
     ]
-    log = WorkflowLog()
+    log = []
     buffer = ReplayBuffer()
     for reply in replies:
-        awm_after_episode(ScriptedBackend(script=[reply]), _trajectory(True), log)
-        awmpp_after_episode(ScriptedBackend(script=[reply]), _trajectory(True), buffer)
-    assert len(log.entries) == 3
+        STRATEGIES["awm"].after_episode(ScriptedBackend(script=[reply]), _trajectory(True), log)
+        STRATEGIES["awmpp"].after_episode(ScriptedBackend(script=[reply]), _trajectory(True), buffer)
+    assert len(log) == 3
     assert buffer.entries == {"pick up the grey key": "short"}
 
 
 def test_awmpp_failure_unchanged():
     backend = ScriptedBackend(script=[json.dumps({"goal": "Pick up grey key.", "workflow": ""})])
     buffer = ReplayBuffer(entries={"pick up the grey key": "w"})
-    awmpp_after_episode(backend, _trajectory(False), buffer)
+    STRATEGIES["awmpp"].after_episode(backend, _trajectory(False), buffer)
     assert buffer.entries == {"pick up the grey key": "w"}
 
 
 def test_call_count_fidelity():
     """Exact LM-call budget per after_episode invocation."""
     reflexion = ScriptedBackend(script=[json.dumps({"reflection": "note"})])
-    reflexion_after_episode(reflexion, _trajectory(), SemanticMemory())
+    STRATEGIES["reflexion"].after_episode(reflexion, _trajectory(), [])
     assert reflexion.calls == 1
 
     awm = ScriptedBackend(script=[json.dumps({"goal": "g", "workflow": "w"})])
-    awm_after_episode(awm, _trajectory(True), WorkflowLog())
+    STRATEGIES["awm"].after_episode(awm, _trajectory(True), [])
     assert awm.calls == 1
 
     for n_goals in (0, 1, 3):
         backend = _echo_script([(f"Pick up the goal{i}", f"w{i}") for i in range(n_goals)])
-        echo_after_episode(backend, _trajectory(), ReplayBuffer())
+        STRATEGIES["echo"].after_episode(backend, _trajectory(), ReplayBuffer())
         assert backend.calls == 2 + n_goals
 
 
@@ -255,9 +269,9 @@ def test_render_memory_formats():
     )
 
     reflexion = get_strategy("reflexion")
-    memory = SemanticMemory(reflections=["be faster"])
+    memory = ["be faster"]
     assert reflexion.render_memory(memory) == "Notes from previous episodes:\nbe faster"
-    assert reflexion.render_memory(SemanticMemory()) == ""
+    assert reflexion.render_memory([]) == ""
 
     assert get_strategy("react").render_memory(None) == ""
 
@@ -317,7 +331,7 @@ def test_strategy_isolation_under_interleaving():
         }
         for key in order:
             events[key]()
-        return echo_mem.entries, list(awm_mem.entries)
+        return echo_mem.entries, list(awm_mem)
 
     assert run(["e1", "e2", "a1", "a2"]) == run(["e1", "a1", "e2", "a2"])
 
@@ -325,8 +339,8 @@ def test_strategy_isolation_under_interleaving():
 def test_snapshot_roundtrip_all_strategies():
     cases = [
         ("echo", ReplayBuffer(entries={"g": "w"})),
-        ("awm", WorkflowLog(entries=[("g", "w"), ("g", "w")])),
-        ("reflexion", SemanticMemory(reflections=["a", "b"])),
+        ("awm", [("g", "w"), ("g", "w")]),
+        ("reflexion", ["a", "b"]),
         ("react", None),
     ]
     for name, memory in cases:

@@ -96,10 +96,6 @@ def test_generate_rejects_bad_configs():
         generate(1, GenConfig(width=5, height=5))  # 1x1 rooms cannot host objects
     with pytest.raises(GenerationError):
         generate(1, GenConfig(width=12, height=13))  # even width has no center wall
-    with pytest.raises(GenerationError):
-        generate(1, GenConfig(n_rooms=2))
-    with pytest.raises(GenerationError):
-        generate(1, GenConfig(n_objects=3))
 
 
 def test_small_valid_config():
@@ -142,8 +138,8 @@ def test_reset_restores_carried_object(world7):
 
 def test_step_forward_blocked_by_wall():
     world = world_from_ascii("#####\n#.@.#\n#####", facing="north")
-    world, effect = step(world, GO_FORWARD)
-    assert not effect.valid
+    world, valid = step(world, GO_FORWARD)
+    assert not valid
     assert world.agent.position == (2, 1)
 
 
@@ -151,10 +147,10 @@ def test_step_toggle_door():
     world = world_from_ascii(
         "#####\n#@+.#\n#####", facing="east", door_specs=[("red", "closed")]
     )
-    world, effect = step(world, TOGGLE_DOOR)
-    assert effect.valid
+    world, valid = step(world, TOGGLE_DOOR)
+    assert valid
     assert world.doors[0].state == "open"
-    world, effect = step(world, TOGGLE_DOOR)
+    world, valid = step(world, TOGGLE_DOOR)
     assert world.doors[0].state == "closed"
 
 
@@ -162,11 +158,11 @@ def test_step_forward_through_door_states():
     world = world_from_ascii(
         "#####\n#@+.#\n#####", facing="east", door_specs=[("red", "closed")]
     )
-    world, effect = step(world, GO_FORWARD)
-    assert not effect.valid, "closed door blocks movement"
+    world, valid = step(world, GO_FORWARD)
+    assert not valid, "closed door blocks movement"
     step(world, TOGGLE_DOOR)
-    world, effect = step(world, GO_FORWARD)
-    assert effect.valid
+    world, valid = step(world, GO_FORWARD)
+    assert valid
     assert world.agent.position == (2, 1)
 
 
@@ -174,15 +170,15 @@ def test_step_pick_up_and_put_down():
     world = world_from_ascii(
         "#####\n#@K.#\n#####", facing="east", legend={"K": ("grey", "key")}
     )
-    world, effect = step(world, PICK_UP)
-    assert effect.valid
+    world, valid = step(world, PICK_UP)
+    assert valid
     carried = world.carried_object
     assert (carried.color, carried.kind) == ("grey", "key")
     assert world.object_at((2, 1)) is None
-    world, effect = step(world, PICK_UP)
-    assert not effect.valid, "hands already full"
-    world, effect = step(world, PUT_DOWN)
-    assert effect.valid
+    world, valid = step(world, PICK_UP)
+    assert not valid, "hands already full"
+    world, valid = step(world, PUT_DOWN)
+    assert valid
     assert world.carried_object is None
     assert world.object_at((2, 1)) is carried
 
@@ -195,8 +191,8 @@ def test_step_put_down_needs_empty_floor():
     )
     step(world, PICK_UP)
     step(world, GO_FORWARD)  # now facing the ball's cell
-    world, effect = step(world, PUT_DOWN)
-    assert not effect.valid, "occupied cell rejects put down"
+    world, valid = step(world, PUT_DOWN)
+    assert not valid, "occupied cell rejects put down"
 
 
 def test_turns_cycle_facings():
@@ -266,8 +262,8 @@ def test_conservation_and_noop_safety(seed, actions):
     expected = sorted((o.kind, o.color) for o in world.objects)
     for action in actions:
         before = to_json(world)
-        world, effect = step(world, action)
-        if not effect.valid:
+        world, valid = step(world, action)
+        if not valid:
             assert to_json(world) == before
         assert sorted((o.kind, o.color) for o in world.objects) == expected
         carried = 1 if world.agent.carrying is not None else 0
