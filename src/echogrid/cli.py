@@ -135,6 +135,9 @@ def cmd_run(args) -> int:
         )
     if config.episodes_per_env <= 0:
         raise CliError("--episodes must be >= 1")
+    out = Path(args.out)
+    if out.exists() and (not out.is_dir() or any(out.iterdir())):
+        raise CliError(f"--out {out} is not empty; old files would mix with the new run")
     if config.backend == "live":
         import os
 
@@ -142,7 +145,7 @@ def cmd_run(args) -> int:
         if missing:
             raise CliError(f"live backend requires env vars: {', '.join(missing)}")
     try:
-        record = harness.run_stream(config, out_dir=Path(args.out))
+        record = harness.run_stream(config, out_dir=out)
     except ValueError as exc:
         raise CliError(str(exc)) from None
     mean_final = harness.mean_cumulative_average(record)[-1]

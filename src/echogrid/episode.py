@@ -90,7 +90,7 @@ def run_episode(
     return traj
 
 
-def format_trajectory(traj: Trajectory, horizon: int = 64) -> str:
+def format_trajectory(traj: Trajectory) -> str:
     """Plain-text transcript shown to offline reasoning calls."""
     lines = [f"Goal: {render_goal(traj.goal)}"]
     for i, rec in enumerate(traj.steps, start=1):
@@ -105,7 +105,8 @@ def format_trajectory(traj: Trajectory, horizon: int = 64) -> str:
         )
     else:
         lines.append(
-            f"Outcome: FAILURE. The goal was not achieved within {horizon} steps. Final reward: 0."
+            f"Outcome: FAILURE. The goal was not achieved within {len(traj.steps)} steps. "
+            "Final reward: 0."
         )
     return "\n".join(lines)
 

@@ -79,7 +79,7 @@ class EpisodeResult:
 class StreamResult:
     env_seed: int
     episodes: list[EpisodeResult]
-    backend_calls: int = 0  # scripted-backend counter for accounting checks
+    backend_calls: int = 0  # the backend's call counter, for accounting checks
 
 
 @dataclass
@@ -164,7 +164,7 @@ def run_env_stream(
         trajectory = run_episode(
             world, goal, policy, config.horizon, env_seed=env_seed, episode_index=index
         )
-        strategy_calls_before = getattr(backend, "calls", 0)
+        strategy_calls_before = backend.calls
         try:
             memory = strategy.after_episode(backend, trajectory, memory)
         except BackendError as exc:
@@ -172,7 +172,7 @@ def run_env_stream(
                 "strategy %s failed after episode %d of env %d: %s",
                 config.strategy, index, env_seed, exc,
             )
-        strategy_calls = getattr(backend, "calls", 0) - strategy_calls_before
+        strategy_calls = backend.calls - strategy_calls_before
         episodes.append(
             EpisodeResult(
                 goal=goal,
@@ -184,9 +184,7 @@ def run_env_stream(
                 strategy_calls=strategy_calls,
             )
         )
-    return StreamResult(
-        env_seed=env_seed, episodes=episodes, backend_calls=getattr(backend, "calls", 0)
-    )
+    return StreamResult(env_seed=env_seed, episodes=episodes, backend_calls=backend.calls)
 
 
 def run_stream(config: RunConfig, out_dir: Optional[Path] = None) -> RunRecord:

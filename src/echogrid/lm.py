@@ -130,6 +130,7 @@ class LiveBackend:
         self.rate_limiter = rate_limiter
         self.mirror_path = mirror_path
         self.stats = BackendStats()
+        self.calls = 0  # completions returned; stats.calls counts HTTP attempts
         self._lock = threading.Lock()
 
     def _mirror(self, payload: dict, response_text: str) -> None:
@@ -190,6 +191,7 @@ class LiveBackend:
             with self._lock:
                 self.stats.prompt_tokens += int(usage.get("prompt_tokens", 0) or 0)
                 self.stats.completion_tokens += int(usage.get("completion_tokens", 0) or 0)
+                self.calls += 1
             self._mirror(payload, content)
             return content
         raise BackendError(

@@ -16,24 +16,25 @@ from typing import Callable, Optional
 
 from . import prompts
 from .lm import LMRequest
-from .textview import canonical_goal, in_window, offset_from, parse_goal, render_goal, segment_clear
+from .textview import canonical_goal, parse_goal, render_goal, sees
 from .world import (
     ACTION_NAMES,
-    FACINGS,
     FACING_VECTORS,
-    FLOOR,
     GO_FORWARD,
     KINDS,
     PICK_UP,
     TOGGLE_DOOR,
     TURN_LEFT,
     TURN_RIGHT,
-    WALL,
     Goal,
     GridWorld,
+    can_enter,
     copy_world,
+    open_doors,
     reset,
+    sight_blocker,
     step,
+    turned,
 )
 
 
@@ -45,51 +46,33 @@ class ScriptExhaustedError(Exception):
     """A scripted backend ran out of canned responses."""
 
 
-def _door_table(world: GridWorld):
-    mask = 0
-    index = {}
-    for i, door in enumerate(world.doors):
-        index[door.position] = i
-        if door.state == "open":
-            mask |= 1 << i
-    return mask, index
-
-
 def _search(
     world: GridWorld,
-    goal_test: Callable[[tuple[int, int], str, int], bool],
+    goal_test: Callable[[tuple[int, int], str, frozenset], bool],
 ) -> list[int]:
-    """Breadth-first search over (position, facing, door-state) states.
+    """Breadth-first search over (position, facing, open doors) states.
 
     Returns the shortest action prefix reaching a state where goal_test
     holds. Objects are treated as static obstacles.
     """
-    mask0, door_index = _door_table(world)
-    obstacles = {o.position for o in world.objects if o.position is not None}
-
-    def can_enter(pos, mask):
-        if pos in door_index:
-            return bool(mask & (1 << door_index[pos]))
-        return world.cell(pos) == FLOOR and pos not in obstacles
-
-    start = (world.agent.position, world.agent.facing, mask0)
+    doors = {d.position for d in world.doors}
+    start = (world.agent.position, world.agent.facing, open_doors(world))
     if goal_test(*start):
         return []
     queue = deque([(start, [])])
     visited = {start}
     while queue:
-        (pos, facing, mask), path = queue.popleft()
-        facing_idx = FACINGS.index(facing)
+        (pos, facing, opened), path = queue.popleft()
         fx, fy = FACING_VECTORS[facing]
         ahead = (pos[0] + fx, pos[1] + fy)
         successors = [
-            (TURN_LEFT, (pos, FACINGS[(facing_idx - 1) % 4], mask)),
-            (TURN_RIGHT, (pos, FACINGS[(facing_idx + 1) % 4], mask)),
+            (TURN_LEFT, (pos, turned(facing, TURN_LEFT), opened)),
+            (TURN_RIGHT, (pos, turned(facing, TURN_RIGHT), opened)),
         ]
-        if can_enter(ahead, mask):
-            successors.append((GO_FORWARD, (ahead, facing, mask)))
-        if ahead in door_index:
-            successors.append((TOGGLE_DOOR, (pos, facing, mask ^ (1 << door_index[ahead]))))
+        if can_enter(world, ahead, opened):
+            successors.append((GO_FORWARD, (ahead, facing, opened)))
+        if ahead in doors:
+            successors.append((TOGGLE_DOOR, (pos, facing, opened ^ {ahead})))
         for action, state in successors:
             if state in visited:
                 continue
@@ -111,7 +94,7 @@ def bfs_plan(world: GridWorld, goal: Goal) -> list[int]:
     if target is None:
         raise ValueError(f"goal names an absent object: {goal.color} {goal.kind}")
 
-    def facing_target(pos, facing, mask):
+    def facing_target(pos, facing, opened):
         fx, fy = FACING_VECTORS[facing]
         return (pos[0] + fx, pos[1] + fy) == target
 
@@ -123,24 +106,6 @@ def bfs_plan(world: GridWorld, goal: Goal) -> list[int]:
             "generated worlds must never produce this"
         ) from None
     return path + [PICK_UP]
-
-
-def _sight_test(world: GridWorld, target: tuple[int, int]):
-    _, door_index = _door_table(world)
-
-    def test(pos, facing, mask):
-        ahead, lateral = offset_from(pos, facing, target)
-        if not in_window(ahead, lateral):
-            return False
-
-        def blocked(cell):
-            if cell in door_index:
-                return not mask & (1 << door_index[cell])
-            return world.cell(cell) == WALL
-
-        return segment_clear(pos, target, blocked)
-
-    return test
 
 
 def sighting_tour(world: GridWorld) -> list[int]:
@@ -155,13 +120,14 @@ def sighting_tour(world: GridWorld) -> list[int]:
     seen: set[int] = set()
 
     def note_sightings():
+        pose = (scratch.agent.position, scratch.agent.facing)
+        blocked = sight_blocker(scratch, open_doors(scratch))
         for i, obj in enumerate(scratch.objects):
-            if i in seen or obj.position is None:
-                continue
-            if _sight_test(scratch, obj.position)(
-                scratch.agent.position, scratch.agent.facing, _door_table(scratch)[0]
-            ):
+            if i not in seen and sees(*pose, obj.position, blocked):
                 seen.add(i)
+
+    def in_view(target):
+        return lambda pos, facing, opened: sees(pos, facing, target, sight_blocker(scratch, opened))
 
     note_sightings()
     while len(seen) < len(scratch.objects):
@@ -169,7 +135,7 @@ def sighting_tour(world: GridWorld) -> list[int]:
         for i, obj in enumerate(scratch.objects):
             if i in seen:
                 continue
-            leg = _search(scratch, _sight_test(scratch, obj.position))
+            leg = _search(scratch, in_view(obj.position))
             legs.append((len(leg), i, leg))
         legs.sort(key=lambda t: (t[0], t[1]))
         for action in legs[0][2]:

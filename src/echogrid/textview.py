@@ -15,14 +15,15 @@ from typing import Callable, Optional
 
 from .world import (
     COLORS,
-    DOOR,
     FACING_VECTORS,
     KINDS,
     RIGHT_VECTORS,
-    WALL,
+    Blocker,
     Goal,
     GridWorld,
     action_menus,
+    open_doors,
+    sight_blocker,
 )
 
 WINDOW_AHEAD = 6  # cells visible straight ahead
@@ -110,18 +111,6 @@ def segment_clear(
     return True
 
 
-def sight_blocker(world: GridWorld) -> Callable[[tuple[int, int]], bool]:
-    closed = {d.position for d in world.doors if d.state == "closed"}
-
-    def blocked(pos: tuple[int, int]) -> bool:
-        cell = world.cell(pos)
-        if cell == WALL:
-            return True
-        return cell == DOOR and pos in closed
-
-    return blocked
-
-
 def offset_from(
     origin: tuple[int, int], facing: str, target: tuple[int, int]
 ) -> tuple[int, int]:
@@ -141,20 +130,21 @@ def in_window(ahead: int, lateral: int) -> bool:
     return 0 <= ahead <= WINDOW_AHEAD and abs(lateral) <= WINDOW_SIDE and (ahead, lateral) != (0, 0)
 
 
+def sees(origin: tuple[int, int], facing: str, target: tuple[int, int], blocked: Blocker) -> bool:
+    """Whether target is in the window of the pose (origin, facing) with a clear line."""
+    ahead, lateral = offset_from(origin, facing, target)
+    return in_window(ahead, lateral) and segment_clear(origin, target, blocked)
+
+
 def forward_wall_steps(world: GridWorld) -> int:
     """Free forward steps before a wall or closed door stops the agent's line."""
+    blocked = sight_blocker(world, open_doors(world))
     fx, fy = FACING_VECTORS[world.agent.facing]
     x, y = world.agent.position
     k = 1
-    while True:
-        cell = world.cell((x + k * fx, y + k * fy))
-        if cell == WALL:
-            return k - 1
-        if cell == DOOR:
-            door = world.door_at((x + k * fx, y + k * fy))
-            if door is not None and door.state == "closed":
-                return k - 1
+    while not blocked((x + k * fx, y + k * fy)):
         k += 1
+    return k - 1
 
 
 def offset_phrase(ahead: int, lateral: int) -> str:
@@ -175,23 +165,17 @@ def visible_entities(world: GridWorld) -> list[VisibleEntity]:
 
     Order: L1 distance, then left before right, then color name, then kind.
     """
-    blocked = sight_blocker(world)
-    agent_pos = world.agent.position
+    blocked = sight_blocker(world, open_doors(world))
+    pos, facing = world.agent.position, world.agent.facing
     found = []
     for obj in world.objects:
-        if obj.position is None:
-            continue
-        ahead, lateral = relative_offset(world, obj.position)
-        if in_window(ahead, lateral) and segment_clear(agent_pos, obj.position, blocked):
-            found.append(
-                VisibleEntity("object", obj.color, obj.kind, None, ahead, lateral)
-            )
+        if obj.position is not None and sees(pos, facing, obj.position, blocked):
+            ahead, lateral = relative_offset(world, obj.position)
+            found.append(VisibleEntity("object", obj.color, obj.kind, None, ahead, lateral))
     for door in world.doors:
-        ahead, lateral = relative_offset(world, door.position)
-        if in_window(ahead, lateral) and segment_clear(agent_pos, door.position, blocked):
-            found.append(
-                VisibleEntity("door", door.color, "door", door.state, ahead, lateral)
-            )
+        if sees(pos, facing, door.position, blocked):
+            ahead, lateral = relative_offset(world, door.position)
+            found.append(VisibleEntity("door", door.color, "door", door.state, ahead, lateral))
     found.sort(key=lambda e: (e.ahead + abs(e.lateral), e.lateral, e.color, e.kind))
     return found
 

@@ -6,6 +6,9 @@ holds exactly one portable object. Worlds are generated from a 64-bit seed
 and can always be reset to their exact starting configuration, which is what
 makes cross-episode memory the only learnable advantage.
 
+The movement and sight rules (can_enter, sight_blocker, action_validity)
+live here alone; step, the text renderer and the BFS planner read them.
+
 Coordinates are (x, y) with x growing east and y growing south; north is -y.
 """
 
@@ -13,7 +16,7 @@ from __future__ import annotations
 
 import json
 from dataclasses import dataclass
-from typing import Optional
+from typing import Callable, Optional
 
 from .rng import stage_stream
 
@@ -49,6 +52,8 @@ TOGGLE_DOOR = 5
 ACTION_NAMES = ("turn left", "turn right", "go forward", "pick up", "put down", "toggle door")
 
 SNAPSHOT_VERSION = 1
+
+Blocker = Callable[[tuple[int, int]], bool]  # does this cell block sight?
 
 
 class GenerationError(ValueError):
@@ -253,14 +258,47 @@ def facing_cell(world: GridWorld) -> tuple[int, int]:
     return (x + dx, y + dy)
 
 
-def _can_enter(world: GridWorld, pos: tuple[int, int]) -> bool:
+def open_doors(world: GridWorld) -> frozenset[tuple[int, int]]:
+    """Positions of the doors that are open now."""
+    return frozenset([d.position for d in world.doors if d.state == "open"])
+
+
+def can_enter(world: GridWorld, pos: tuple[int, int], opened: frozenset) -> bool:
+    """Movement rule: object-free floor, or a door whose position is in opened."""
     cell = world.cell(pos)
-    if cell == FLOOR:
-        return world.object_at(pos) is None
     if cell == DOOR:
-        door = world.door_at(pos)
-        return door is not None and door.state == "open"
-    return False
+        return pos in opened
+    return cell == FLOOR and world.object_at(pos) is None
+
+
+def sight_blocker(world: GridWorld, opened: frozenset) -> Blocker:
+    """Sight rule: walls and doors not in opened block sight; objects never do."""
+
+    def blocked(pos: tuple[int, int]) -> bool:
+        cell = world.cell(pos)
+        return cell == WALL or (cell == DOOR and pos not in opened)
+
+    return blocked
+
+
+def turned(facing: str, action: int) -> str:
+    """Facing after TURN_LEFT or TURN_RIGHT."""
+    return FACINGS[(FACINGS.index(facing) + (-1 if action == TURN_LEFT else 1)) % 4]
+
+
+def action_validity(world: GridWorld) -> tuple[bool, ...]:
+    """Whether each of the six actions, by index, is valid in the current state."""
+    ahead = facing_cell(world)
+    obj_ahead = world.object_at(ahead)
+    carrying = world.agent.carrying is not None
+    return (
+        True,
+        True,
+        can_enter(world, ahead, open_doors(world)),
+        not carrying and obj_ahead is not None,
+        carrying and can_enter(world, ahead, frozenset()),  # object-free floor
+        world.door_at(ahead) is not None,
+    )
 
 
 def step(world: GridWorld, action: int) -> tuple[GridWorld, bool]:
@@ -268,57 +306,30 @@ def step(world: GridWorld, action: int) -> tuple[GridWorld, bool]:
     leave the world unchanged. The world object is mutated and returned."""
     if not 0 <= action <= 5:
         return world, False
+    if action in (TURN_LEFT, TURN_RIGHT):
+        world.agent.facing = turned(world.agent.facing, action)
+        return world, True
+    if not action_validity(world)[action]:
+        return world, False
     ahead = facing_cell(world)
-    if action == TURN_LEFT:
-        idx = FACINGS.index(world.agent.facing)
-        world.agent.facing = FACINGS[(idx - 1) % 4]
-        return world, True
-    if action == TURN_RIGHT:
-        idx = FACINGS.index(world.agent.facing)
-        world.agent.facing = FACINGS[(idx + 1) % 4]
-        return world, True
     if action == GO_FORWARD:
-        if _can_enter(world, ahead):
-            world.agent.position = ahead
-            return world, True
-        return world, False
-    if action == PICK_UP:
+        world.agent.position = ahead
+    elif action == PICK_UP:
         obj = world.object_at(ahead)
-        if world.agent.carrying is None and obj is not None:
-            world.agent.carrying = world.objects.index(obj)
-            obj.position = None
-            return world, True
-        return world, False
-    if action == PUT_DOWN:
-        carried = world.carried_object
-        if carried is not None and world.cell(ahead) == FLOOR and world.object_at(ahead) is None:
-            carried.position = ahead
-            world.agent.carrying = None
-            return world, True
-        return world, False
-    # TOGGLE_DOOR
-    door = world.door_at(ahead)
-    if door is not None:
+        world.agent.carrying = world.objects.index(obj)
+        obj.position = None
+    elif action == PUT_DOWN:
+        world.carried_object.position = ahead
+        world.agent.carrying = None
+    else:  # TOGGLE_DOOR
+        door = world.door_at(ahead)
         door.state = "open" if door.state == "closed" else "closed"
-        return world, True
-    return world, False
+    return world, True
 
 
 def action_menus(world: GridWorld) -> tuple[dict[int, str], dict[int, str]]:
     """Partition all six actions into (valid, invalid) maps at fixed indices."""
-    ahead = facing_cell(world)
-    obj_ahead = world.object_at(ahead)
-    door_ahead = world.door_at(ahead)
-    validity = {
-        TURN_LEFT: True,
-        TURN_RIGHT: True,
-        GO_FORWARD: _can_enter(world, ahead),
-        PICK_UP: world.agent.carrying is None and obj_ahead is not None,
-        PUT_DOWN: world.agent.carrying is not None
-        and world.cell(ahead) == FLOOR
-        and obj_ahead is None,
-        TOGGLE_DOOR: door_ahead is not None,
-    }
+    validity = action_validity(world)
     valid = {i: ACTION_NAMES[i] for i in range(6) if validity[i]}
     invalid = {i: ACTION_NAMES[i] for i in range(6) if not validity[i]}
     return valid, invalid

@@ -175,6 +175,25 @@ def test_run_resume_config_reproduces_bit_for_bit(tmp_path):
         assert (first / name).read_bytes() == (resumed / name).read_bytes()
 
 
+def test_run_refuses_nonempty_out_dir(tmp_path, capsys):
+    """A second run into the same dir exits 1 and leaves the first run's files as they were."""
+    envs = _gen(tmp_path)
+    first = _run(tmp_path, envs, "run", "--strategy", "echo", "--backend", "scripted:bfs-demo")
+    files = {p: p.read_bytes() for p in first.rglob("*") if p.is_file()}
+    code = main(
+        [
+            "run", "--envs", str(envs), "--episodes", "2", "--strategy", "reflexion",
+            "--out", str(first),
+        ]
+    )
+    assert code == 1
+    assert "not empty" in capsys.readouterr().err
+    assert {p: p.read_bytes() for p in first.rglob("*") if p.is_file()} == files
+    a_file = first / "config.json"
+    assert main(["run", "--envs", str(envs), "--out", str(a_file)]) == 1
+    assert a_file.read_bytes() == files[a_file]
+
+
 def test_run_missing_env_vars_for_live_backend(tmp_path, capsys, monkeypatch):
     for var in ("LM_API_KEY", "LM_BASE_URL", "LM_MODEL"):
         monkeypatch.delenv(var, raising=False)

@@ -209,6 +209,26 @@ def test_run_stream_out_of_range_choice_fails_episodes(tmp_path, monkeypatch):
         assert trajectory.note.startswith("policy failure: unparseable reply after retry")
 
 
+def test_failed_transcript_states_the_steps_run(monkeypatch):
+    """A reflexion run at horizon 8 reflects on a transcript that says 8 steps, not 64."""
+    from echogrid import harness
+    from echogrid.oracle import classify_request
+
+    backends = []
+    real_make_backend = harness.make_backend
+
+    def recording_make_backend(spec, world, mirror_path=None):
+        backends.append(real_make_backend(spec, world, mirror_path))
+        return backends[-1]
+
+    monkeypatch.setattr(harness, "make_backend", recording_make_backend)
+    run_stream(_config(strategy="reflexion", env_seeds=(0,), episodes_per_env=1, horizon=8))
+    reflects = [r for r in backends[0].requests if classify_request(r) == "reflect"]
+    assert len(reflects) == 1
+    transcript = reflects[0].messages[-1]["content"]
+    assert "The goal was not achieved within 8 steps." in transcript
+
+
 def test_run_stream_default_workers_capped(monkeypatch):
     from echogrid import harness
 

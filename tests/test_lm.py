@@ -108,6 +108,24 @@ def test_live_backend_rejects_empty_content(stub_server):
         _backend(url).complete(_request())
 
 
+def test_live_run_counts_strategy_calls(stub_server, monkeypatch):
+    """strategy_calls counts the live backend's reflect completions (one per failed episode)."""
+    from echogrid.harness import RunConfig, run_stream
+
+    url, handler = stub_server
+    handler.plan = [(200, _completion_body('{"thought":"t","choice":0,"reflection":"r"}'))]
+    monkeypatch.setenv("LM_BASE_URL", url)
+    monkeypatch.setenv("LM_API_KEY", "test-key")
+    monkeypatch.setenv("LM_MODEL", "test-model")
+    monkeypatch.delenv("LM_RPM", raising=False)
+    config = RunConfig(
+        env_seeds=(0,), episodes_per_env=2, horizon=4, strategy="reflexion", backend="live"
+    )
+    record = run_stream(config)
+    assert record.agent_calls == 8
+    assert record.strategy_calls == 2
+
+
 def test_live_backend_requires_configuration(monkeypatch):
     for var in ("LM_API_KEY", "LM_BASE_URL", "LM_MODEL"):
         monkeypatch.delenv(var, raising=False)

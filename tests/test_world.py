@@ -271,6 +271,23 @@ def test_conservation_and_noop_safety(seed, actions):
         assert carried + placed == len(world.objects)
 
 
+@settings(max_examples=60, deadline=None)
+@given(
+    seed=st.integers(min_value=0, max_value=50),
+    actions=st.lists(st.integers(min_value=0, max_value=5), max_size=40),
+)
+def test_step_validity_matches_action_menus(seed, actions):
+    """From every state of a random walk, step's valid flag agrees with the menus."""
+    world = generate(seed)
+    for action in [*actions, None]:
+        valid_menu = action_menus(world)[0]
+        for a in range(6):
+            _, valid = step(copy_world(world), a)
+            assert valid == (a in valid_menu), (a, to_json(world))
+        if action is not None:
+            step(world, action)
+
+
 @settings(max_examples=40, deadline=None)
 @given(
     seed=st.integers(min_value=0, max_value=50),
