@@ -14,7 +14,7 @@ from pathlib import Path
 
 from . import harness
 from .episode import read_trajectories
-from .harness import RunConfig, load_run_record, load_validity_pools
+from .harness import RunConfig, is_seed_list, load_run_record, load_validity_pools
 from .lm import ENV_API_KEY, ENV_BASE_URL, ENV_MODEL
 from .strategies import STRATEGIES
 from .textview import render_goal
@@ -112,7 +112,14 @@ def _env_seeds_from_dir(envs_dir: str) -> list[int]:
     index_path = Path(envs_dir) / INDEX_FILE
     if not index_path.is_file():
         raise CliError(f"{envs_dir} has no {INDEX_FILE}; run gen first")
-    return list(json.loads(index_path.read_text(encoding="utf-8"))["seeds"])
+    try:
+        index = json.loads(index_path.read_text(encoding="utf-8"))
+    except ValueError as exc:
+        raise CliError(f"{index_path} is not valid JSON: {exc}") from None
+    seeds = index.get("seeds") if isinstance(index, dict) else None
+    if not is_seed_list(seeds):
+        raise CliError(f"{index_path} needs \"seeds\": a non-empty list of integers")
+    return seeds
 
 
 def cmd_run(args) -> int:
@@ -144,6 +151,9 @@ def cmd_run(args) -> int:
         missing = [v for v in (ENV_BASE_URL, ENV_API_KEY, ENV_MODEL) if not os.environ.get(v)]
         if missing:
             raise CliError(f"live backend requires env vars: {', '.join(missing)}")
+        rpm = os.environ.get("LM_RPM", "")
+        if rpm and not (rpm.isdigit() and int(rpm) > 0):
+            raise CliError(f"LM_RPM must be a positive integer, got {rpm!r}")
     try:
         record = harness.run_stream(config, out_dir=out)
     except ValueError as exc:
@@ -170,13 +180,13 @@ def cmd_eval(args) -> int:
             gain = harness.gain_over_baseline(method, baseline)
         except ValueError as exc:
             raise CliError(str(exc)) from None
-        curves[method.strategy] = gain
+        curves[method.config.strategy] = gain
         for env_seed in method.rewards:
             m_series = harness.cumulative_average(method.rewards[env_seed])
             b_series = harness.cumulative_average(baseline.rewards[env_seed])
-            for episode in range(method.episodes_per_env):
+            for episode in range(method.config.episodes_per_env):
                 rows.append(
-                    f"{method.strategy},{env_seed},{episode},"
+                    f"{method.config.strategy},{env_seed},{episode},"
                     f"{method.goals[env_seed][episode]},{method.rewards[env_seed][episode]},"
                     f"{m_series[episode]!r},{b_series[episode]!r},"
                     f"{m_series[episode] - b_series[episode]!r}"

@@ -12,13 +12,15 @@ from __future__ import annotations
 
 import json
 import logging
+import os
 from concurrent.futures import ThreadPoolExecutor
-from dataclasses import asdict, dataclass, field
+from dataclasses import asdict, dataclass, field, fields
+from functools import lru_cache
 from pathlib import Path
 from typing import Optional
 
 from .episode import Trajectory, run_episode, serialize
-from .lm import BackendError, LiveBackend
+from .lm import BackendError, LiveBackend, TokenBucket
 from .oracle import DemoBackend, OracleBackend, TurnLeftBackend
 from .policy import ReactPolicy
 from .rng import SplitMix64, stage_stream
@@ -58,61 +60,68 @@ class RunConfig:
     @classmethod
     def from_json(cls, text: str) -> "RunConfig":
         doc = json.loads(text)
+        if not isinstance(doc, dict):
+            raise ValueError("run config is not a JSON object")
         if doc.pop("version", None) != CONFIG_VERSION:
             raise ValueError("unsupported run config version")
+        names = {f.name for f in fields(cls)}
+        if set(doc) != names:
+            raise ValueError(
+                f"run config keys: missing {sorted(names - set(doc))}, "
+                f"unknown {sorted(set(doc) - names)}"
+            )
+        if not is_seed_list(doc["env_seeds"]):
+            raise ValueError("run config env_seeds must be a non-empty list of integers")
         doc["env_seeds"] = tuple(doc["env_seeds"])
         return cls(**doc)
 
 
+def is_seed_list(value) -> bool:
+    """Env seeds as stored in JSON: a non-empty list of integers (not bools)."""
+    return isinstance(value, list) and bool(value) and all(type(v) is int for v in value)
+
+
 @dataclass
 class EpisodeResult:
-    goal: Goal
-    reward: int
-    steps: int
     trajectory: Trajectory
     memory_snapshot: dict
-    agent_calls: int
-    strategy_calls: int
+    agent_calls: int  # backend.calls consumed by run_episode
+    strategy_calls: int  # backend.calls consumed by after_episode
 
 
 @dataclass
 class StreamResult:
     env_seed: int
     episodes: list[EpisodeResult]
-    backend_calls: int = 0  # the backend's call counter, for accounting checks
 
 
 @dataclass
 class RunRecord:
     """Reward series and accounting for one completed run."""
 
-    strategy: str
-    goal_seed: int
-    episodes_per_env: int
+    config: RunConfig
     rewards: dict[int, list[int]]  # env seed -> reward per episode
-    steps: dict[int, list[int]]
     goals: dict[int, list[str]]
     agent_calls: int = 0
     strategy_calls: int = 0
 
-    @property
-    def env_seeds(self) -> list[int]:
-        return list(self.rewards)
+
+@lru_cache(maxsize=None)
+def _rate_limiter(requests_per_minute: int) -> TokenBucket:
+    return TokenBucket(requests_per_minute)
 
 
 def make_backend(spec: str, world: GridWorld, mirror_path: Optional[str] = None):
     """Backend factory; scripted backends are bound to one environment.
 
-    Live backends honor the optional LM_RPM env var (token-bucket rate limit)
-    and mirror raw request/response pairs to mirror_path when given.
+    Live backends honor the optional LM_RPM env var, a token-bucket rate limit
+    shared by every live backend of the process (so it limits the whole run,
+    not each env stream), and mirror raw request/response pairs to mirror_path
+    when given.
     """
     if spec == "live":
-        import os
-
-        from .lm import TokenBucket
-
         rpm = os.environ.get("LM_RPM")
-        limiter = TokenBucket(int(rpm)) if rpm else None
+        limiter = _rate_limiter(int(rpm)) if rpm else None
         return LiveBackend(rate_limiter=limiter, mirror_path=mirror_path)
     if spec == "scripted:turn-left":
         return TurnLeftBackend()
@@ -161,10 +170,11 @@ def run_env_stream(
             horizon=config.horizon,
             memory_text=strategy.render_memory(memory),
         )
+        calls_before = backend.calls
         trajectory = run_episode(
             world, goal, policy, config.horizon, env_seed=env_seed, episode_index=index
         )
-        strategy_calls_before = backend.calls
+        agent_calls = backend.calls - calls_before
         try:
             memory = strategy.after_episode(backend, trajectory, memory)
         except BackendError as exc:
@@ -172,19 +182,15 @@ def run_env_stream(
                 "strategy %s failed after episode %d of env %d: %s",
                 config.strategy, index, env_seed, exc,
             )
-        strategy_calls = backend.calls - strategy_calls_before
         episodes.append(
             EpisodeResult(
-                goal=goal,
-                reward=trajectory.reward,
-                steps=len(trajectory.steps),
                 trajectory=trajectory,
                 memory_snapshot=strategy.memory_snapshot(memory),
-                agent_calls=policy.total_calls,
-                strategy_calls=strategy_calls,
+                agent_calls=agent_calls,
+                strategy_calls=backend.calls - calls_before - agent_calls,
             )
         )
-    return StreamResult(env_seed=env_seed, episodes=episodes, backend_calls=backend.calls)
+    return StreamResult(env_seed=env_seed, episodes=episodes)
 
 
 def run_stream(config: RunConfig, out_dir: Optional[Path] = None) -> RunRecord:
@@ -203,13 +209,10 @@ def run_stream(config: RunConfig, out_dir: Optional[Path] = None) -> RunRecord:
         streams = [run_env_stream(config, s, mirror_path) for s in config.env_seeds]
 
     record = RunRecord(
-        strategy=config.strategy,
-        goal_seed=config.goal_seed,
-        episodes_per_env=config.episodes_per_env,
-        rewards={s.env_seed: [e.reward for e in s.episodes] for s in streams},
-        steps={s.env_seed: [e.steps for e in s.episodes] for s in streams},
+        config=config,
+        rewards={s.env_seed: [e.trajectory.reward for e in s.episodes] for s in streams},
         goals={
-            s.env_seed: [render_goal(e.goal) for e in s.episodes] for s in streams
+            s.env_seed: [render_goal(e.trajectory.goal) for e in s.episodes] for s in streams
         },
         agent_calls=sum(e.agent_calls for s in streams for e in s.episodes),
         strategy_calls=sum(e.strategy_calls for s in streams for e in s.episodes),
@@ -240,11 +243,12 @@ def write_run_dir(
     with open(out_dir / "metrics.csv", "w", encoding="utf-8") as fh:
         fh.write(METRICS_HEADER + "\n")
         for stream in streams:
-            series = cumulative_average([e.reward for e in stream.episodes])
-            for index, episode in enumerate(stream.episodes):
+            trajectories = [e.trajectory for e in stream.episodes]
+            series = cumulative_average([t.reward for t in trajectories])
+            for index, traj in enumerate(trajectories):
                 fh.write(
-                    f"{stream.env_seed},{index},{render_goal(episode.goal)},"
-                    f"{episode.reward},{episode.steps},{series[index]!r},{config.strategy}\n"
+                    f"{stream.env_seed},{index},{render_goal(traj.goal)},"
+                    f"{traj.reward},{len(traj.steps)},{series[index]!r},{config.strategy}\n"
                 )
 
 
@@ -270,8 +274,8 @@ def gain_over_baseline(method: RunRecord, baseline: RunRecord) -> list[float]:
     """Per-episode cumulative-average difference, averaged across environments."""
     if (
         sorted(method.rewards) != sorted(baseline.rewards)
-        or method.episodes_per_env != baseline.episodes_per_env
-        or method.goal_seed != baseline.goal_seed
+        or method.config.episodes_per_env != baseline.config.episodes_per_env
+        or method.config.goal_seed != baseline.config.goal_seed
     ):
         raise ValueError(
             "method and baseline runs must share env seeds, episode counts, "
@@ -382,27 +386,16 @@ def load_run_record(run_dir: Path) -> RunRecord:
     run_dir = Path(run_dir)
     config = RunConfig.from_json((run_dir / "config.json").read_text(encoding="utf-8"))
     rewards: dict[int, list[int]] = {seed: [] for seed in config.env_seeds}
-    steps: dict[int, list[int]] = {seed: [] for seed in config.env_seeds}
     goals: dict[int, list[str]] = {seed: [] for seed in config.env_seeds}
     with open(run_dir / "metrics.csv", encoding="utf-8") as fh:
         header = fh.readline().strip()
         if header != METRICS_HEADER:
             raise ValueError(f"{run_dir}/metrics.csv: unexpected header {header!r}")
         for line in fh:
-            env_seed, _episode, goal, reward, step_count, _cum, _strategy = line.rstrip(
-                "\n"
-            ).split(",")
+            env_seed, _episode, goal, reward, _steps, _cum, _strategy = line.rstrip("\n").split(",")
             rewards[int(env_seed)].append(int(reward))
-            steps[int(env_seed)].append(int(step_count))
             goals[int(env_seed)].append(goal)
-    return RunRecord(
-        strategy=config.strategy,
-        goal_seed=config.goal_seed,
-        episodes_per_env=config.episodes_per_env,
-        rewards=rewards,
-        steps=steps,
-        goals=goals,
-    )
+    return RunRecord(config=config, rewards=rewards, goals=goals)
 
 
 def load_validity_pools(run_dir: Path) -> dict[int, list[tuple[str, str]]]:

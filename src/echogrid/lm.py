@@ -27,12 +27,6 @@ ENV_API_KEY = "LM_API_KEY"
 ENV_BASE_URL = "LM_BASE_URL"
 ENV_MODEL = "LM_MODEL"
 
-# Request parameters for the two call roles (acting agent vs offline reasoning).
-AGENT_TEMPERATURE = 0.0
-AGENT_MAX_NEW_TOKENS = 4000
-OFFLINE_TEMPERATURE = 0.0
-OFFLINE_MAX_NEW_TOKENS = 4000
-
 
 class ParseError(Exception):
     """Structured parse failure; carries the reason and any missing key."""
@@ -56,14 +50,6 @@ class BackendError(Exception):
 class LMRequest:
     system_prompt: str
     messages: list[dict[str, str]]  # ordered {"role", "content"} entries
-    temperature: float = AGENT_TEMPERATURE
-    max_new_tokens: int = AGENT_MAX_NEW_TOKENS
-
-    def __post_init__(self):
-        if self.temperature < 0:
-            raise ValueError("temperature must be >= 0")
-        if self.max_new_tokens <= 0:
-            raise ValueError("max_new_tokens must be > 0")
 
 
 @runtime_checkable
@@ -107,6 +93,9 @@ class LiveBackend:
 
     MAX_ATTEMPTS = 3
     RETRY_STATUSES = {429, 500, 502, 503, 504}
+    # Sampling settings, the same for agent and offline calls.
+    TEMPERATURE = 0.0
+    MAX_TOKENS = 4000
 
     def __init__(
         self,
@@ -148,8 +137,8 @@ class LiveBackend:
             "model": self.model,
             "messages": [{"role": "system", "content": request.system_prompt}]
             + request.messages,
-            "temperature": request.temperature,
-            "max_tokens": request.max_new_tokens,
+            "temperature": self.TEMPERATURE,
+            "max_tokens": self.MAX_TOKENS,
         }
         url = f"{self.base_url}/chat/completions"
         headers = {"Authorization": f"Bearer {self.api_key}"}

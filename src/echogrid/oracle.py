@@ -14,8 +14,8 @@ import re
 from collections import deque
 from typing import Callable, Optional
 
-from . import prompts
 from .lm import LMRequest
+from .prompts import classify_request
 from .textview import canonical_goal, parse_goal, render_goal, sees
 from .world import (
     ACTION_NAMES,
@@ -155,25 +155,6 @@ _ENTITY_RE = re.compile(
 )
 _ROUTE_RE = re.compile(r"follow this route: ([a-z ,]+)\.")
 _ACTION_LINE_RE = re.compile(r"^Action: \d+ \(([a-z ]+)\) \[", re.MULTILINE)
-
-AGENT_PROMPT_PREFIX = "You are an agent in a 2D gridworld."
-
-
-def classify_request(request: LMRequest) -> str:
-    """Which call a request represents, judged from its system prompt."""
-    sp = request.system_prompt
-    if sp.startswith(AGENT_PROMPT_PREFIX):
-        return "agent"
-    for name, prompt in (
-        ("summarize", prompts.ECHO_SUMMARIZE),
-        ("identify_goals", prompts.ECHO_IDENTIFY_GOALS),
-        ("infer_traj", prompts.ECHO_INFER_TRAJ),
-        ("reflect", prompts.REFLEXION),
-        ("awm", prompts.AWM),
-    ):
-        if sp == prompt:
-            return name
-    return "unknown"
 
 
 def extract_mentions(text: str) -> list[tuple[str, str]]:

@@ -10,15 +10,7 @@ from __future__ import annotations
 
 from . import prompts
 from .episode import PolicyError
-from .lm import (
-    AGENT_MAX_NEW_TOKENS,
-    AGENT_TEMPERATURE,
-    BackendError,
-    LMBackend,
-    LMRequest,
-    ParseError,
-    parse_choice,
-)
+from .lm import BackendError, LMBackend, LMRequest, ParseError, parse_choice
 from .textview import Observation
 
 
@@ -30,22 +22,13 @@ class ReactPolicy:
         self.messages: list[dict[str, str]] = []
         self.calls_per_step: list[int] = []
 
-    @property
-    def total_calls(self) -> int:
-        return sum(self.calls_per_step)
-
     def begin_episode(self, goal_text: str) -> None:
         self.goal_text = goal_text
         self.messages = []
         self.calls_per_step = []
 
     def _complete(self) -> str:
-        request = LMRequest(
-            system_prompt=self.system_prompt,
-            messages=list(self.messages),
-            temperature=AGENT_TEMPERATURE,
-            max_new_tokens=AGENT_MAX_NEW_TOKENS,
-        )
+        request = LMRequest(system_prompt=self.system_prompt, messages=list(self.messages))
         self.calls_per_step[-1] += 1
         return self.backend.complete(request)
 

@@ -1,9 +1,12 @@
 """System prompts for the acting agent and the offline reasoning calls.
 
-These strings are frozen: prompt-snapshot tests assert their bytes, and the
-scripted backends key their routing on them. #HORIZON# in the agent prompt
-is replaced with the configured step budget at episode start.
+These strings are frozen: prompt-snapshot tests assert their bytes, and
+classify_request names a request's role from them, which the scripted
+backends route on. #HORIZON# in the agent prompt is replaced with the
+configured step budget at episode start.
 """
+
+from .lm import LMRequest
 
 HORIZON_PLACEHOLDER = "#HORIZON#"
 
@@ -90,6 +93,23 @@ PARSE_REMINDER = (
     '{"thought": X, "choice": Y} where Y is the index of the desired choice. '
     "Ensure Y is a parseable integer!"
 )
+
+
+_AGENT_OPENING = REACT_AGENT[: REACT_AGENT.index(HORIZON_PLACEHOLDER)]
+_OFFLINE_ROLES = {
+    ECHO_SUMMARIZE: "summarize",
+    ECHO_IDENTIFY_GOALS: "identify_goals",
+    ECHO_INFER_TRAJ: "infer_traj",
+    REFLEXION: "reflect",
+    AWM: "awm",
+}
+
+
+def classify_request(request: LMRequest) -> str:
+    """Which call a request represents, judged from its system prompt."""
+    if request.system_prompt.startswith(_AGENT_OPENING):
+        return "agent"
+    return _OFFLINE_ROLES.get(request.system_prompt, "unknown")
 
 
 def agent_system_prompt(horizon: int, memory_text: str = "") -> str:

@@ -23,15 +23,7 @@ from typing import Callable, Iterator, Optional
 
 from . import prompts
 from .episode import Trajectory, format_trajectory
-from .lm import (
-    OFFLINE_MAX_NEW_TOKENS,
-    OFFLINE_TEMPERATURE,
-    LMBackend,
-    LMRequest,
-    ParseError,
-    parse_json_payload,
-    parse_summary,
-)
+from .lm import LMBackend, LMRequest, ParseError, parse_json_payload, parse_summary
 from .textview import canonical_goal
 
 logger = logging.getLogger(__name__)
@@ -71,12 +63,7 @@ def _ask(
     A reply that does not parse is logged and yields None.
     """
     reply = backend.complete(
-        LMRequest(
-            system_prompt=system_prompt,
-            messages=[{"role": "user", "content": user_text}],
-            temperature=OFFLINE_TEMPERATURE,
-            max_new_tokens=OFFLINE_MAX_NEW_TOKENS,
-        )
+        LMRequest(system_prompt=system_prompt, messages=[{"role": "user", "content": user_text}])
     )
     try:
         return parse_summary(reply) if keys is None else parse_json_payload(reply, keys)

@@ -205,6 +205,58 @@ def test_run_missing_env_vars_for_live_backend(tmp_path, capsys, monkeypatch):
     assert "LM_" in capsys.readouterr().err
 
 
+def test_run_rejects_bad_lm_rpm(tmp_path, capsys, monkeypatch):
+    """LM_RPM must be a positive integer; a bad value exits 1 before --out exists."""
+    monkeypatch.setenv("LM_BASE_URL", "http://127.0.0.1:9")
+    monkeypatch.setenv("LM_API_KEY", "test-key")
+    monkeypatch.setenv("LM_MODEL", "test-model")
+    envs = _gen(tmp_path)
+    for value in ("0", "-5", "1.5", "fast"):
+        monkeypatch.setenv("LM_RPM", value)
+        out = tmp_path / f"r{value}"
+        code = main(["run", "--envs", str(envs), "--backend", "live", "--out", str(out)])
+        assert code == 1
+        assert "LM_RPM" in capsys.readouterr().err
+        assert not out.exists()
+
+
+@pytest.mark.parametrize(
+    "index", ["{not json", "[1]", "{}", '{"seeds": []}', '{"seeds": [1, "2"]}', '{"seeds": 3}']
+)
+def test_run_rejects_malformed_index(tmp_path, capsys, index):
+    envs = tmp_path / "envs"
+    envs.mkdir()
+    (envs / "index.json").write_text(index)
+    out = tmp_path / "r"
+    assert main(["run", "--envs", str(envs), "--out", str(out)]) == 1
+    assert "index.json" in capsys.readouterr().err
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("edit", ["unknown_key", "missing_key", "not_an_object", "no_seeds"])
+def test_malformed_run_config_exits_1(tmp_path, edit):
+    """run --resume-config, validate and eval reject a malformed config.json with exit 1."""
+    envs = _gen(tmp_path)
+    run = _run(tmp_path, envs, "run")
+    doc = json.loads((run / "config.json").read_text())
+    if edit == "unknown_key":
+        doc["temperature"] = 0.5
+    elif edit == "missing_key":
+        del doc["horizon"]
+    elif edit == "no_seeds":
+        doc["env_seeds"] = []
+    else:
+        doc = [1]
+    (run / "config.json").write_text(json.dumps(doc))
+    out = tmp_path / "resumed"
+    assert main(["run", "--resume-config", str(run / "config.json"), "--out", str(out)]) == 1
+    assert not out.exists()
+    assert main(["validate", "--run", str(run)]) == 1
+    csv = tmp_path / "m.csv"
+    assert main(["eval", "--runs", str(run), "--baseline", str(run), "--out", str(csv)]) == 1
+    assert not csv.exists()
+
+
 def test_run_unknown_backend_or_strategy(tmp_path, capsys):
     envs = _gen(tmp_path)
     code = main(

@@ -104,13 +104,12 @@ def test_gain_over_baseline_rejects_mismatches():
 def _record(strategy, rewards, goal_seed, episodes_per_env):
     from echogrid.harness import RunRecord
 
-    return RunRecord(
-        strategy=strategy,
+    config = RunConfig(
+        env_seeds=tuple(rewards), episodes_per_env=episodes_per_env, strategy=strategy,
         goal_seed=goal_seed,
-        episodes_per_env=episodes_per_env,
-        rewards=rewards,
-        steps={k: [0] * len(v) for k, v in rewards.items()},
-        goals={k: ["g"] * len(v) for k, v in rewards.items()},
+    )
+    return RunRecord(
+        config=config, rewards=rewards, goals={k: ["g"] * len(v) for k, v in rewards.items()}
     )
 
 
@@ -173,25 +172,37 @@ def test_run_stream_deterministic_outputs(tmp_path):
         assert (tmp_path / "a" / name).read_bytes() == (tmp_path / "b" / name).read_bytes()
 
 
-def test_run_stream_accounting():
+def test_run_stream_accounting(monkeypatch):
     """Backend-recorded calls equal agent steps plus strategy calls (no retries)."""
-    from echogrid.harness import run_env_stream
+    from echogrid import harness
 
+    backends = []
+    real_make_backend = harness.make_backend
+
+    def recording_make_backend(spec, world, mirror_path=None):
+        backends.append(real_make_backend(spec, world, mirror_path))
+        return backends[-1]
+
+    monkeypatch.setattr(harness, "make_backend", recording_make_backend)
     for strategy in ("react", "reflexion", "awm", "echo"):
+        backends.clear()
         config = _config(strategy=strategy, backend="scripted:bfs-demo")
-        stream = run_env_stream(config, env_seed=0)
-        total_steps = sum(e.steps for e in stream.episodes)
+        stream = harness.run_env_stream(config, env_seed=0)
+        [backend] = backends
+        total_steps = sum(len(e.trajectory.steps) for e in stream.episodes)
         total_strategy = sum(e.strategy_calls for e in stream.episodes)
         total_agent = sum(e.agent_calls for e in stream.episodes)
         assert total_agent == total_steps
-        assert stream.backend_calls == total_agent + total_strategy
+        assert backend.calls == total_agent + total_strategy
+        assert (total_strategy > 0) == (strategy != "react")
 
 
 def test_run_stream_out_of_range_choice_fails_episodes(tmp_path, monkeypatch):
     """An agent that always answers choice 9 fails each episode; the run still finishes."""
     from echogrid import harness
     from echogrid.episode import read_trajectories
-    from echogrid.oracle import ScriptedBackend, classify_request
+    from echogrid.oracle import ScriptedBackend
+    from echogrid.prompts import classify_request
 
     def rules(request):
         if classify_request(request) == "agent":
@@ -212,7 +223,7 @@ def test_run_stream_out_of_range_choice_fails_episodes(tmp_path, monkeypatch):
 def test_failed_transcript_states_the_steps_run(monkeypatch):
     """A reflexion run at horizon 8 reflects on a transcript that says 8 steps, not 64."""
     from echogrid import harness
-    from echogrid.oracle import classify_request
+    from echogrid.prompts import classify_request
 
     backends = []
     real_make_backend = harness.make_backend
@@ -257,10 +268,9 @@ def test_run_record_roundtrip_from_dir(tmp_path):
     config = _config(strategy="echo", backend="scripted:bfs-demo")
     record = run_stream(config, out_dir=tmp_path / "run")
     loaded = load_run_record(tmp_path / "run")
+    assert loaded.config == config == record.config
     assert loaded.rewards == record.rewards
-    assert loaded.steps == record.steps
     assert loaded.goals == record.goals
-    assert loaded.strategy == "echo"
 
 
 def test_config_json_roundtrip():

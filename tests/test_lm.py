@@ -126,18 +126,48 @@ def test_live_run_counts_strategy_calls(stub_server, monkeypatch):
     assert record.strategy_calls == 2
 
 
+def test_live_run_sends_fixed_sampling_settings(stub_server, monkeypatch):
+    """Agent and offline calls alike go out at temperature 0 with max_tokens 4000."""
+    from echogrid.harness import RunConfig, run_stream
+    from echogrid.prompts import REFLEXION, agent_system_prompt
+
+    url, handler = stub_server
+    handler.plan = [(200, _completion_body('{"thought":"t","choice":0,"reflection":"r"}'))]
+    monkeypatch.setenv("LM_BASE_URL", url)
+    monkeypatch.setenv("LM_API_KEY", "test-key")
+    monkeypatch.setenv("LM_MODEL", "test-model")
+    monkeypatch.delenv("LM_RPM", raising=False)
+    config = RunConfig(
+        env_seeds=(0,), episodes_per_env=1, horizon=3, strategy="reflexion", backend="live"
+    )
+    run_stream(config)
+    systems = [payload["messages"][0]["content"] for payload in handler.served]
+    assert systems == [agent_system_prompt(3)] * 3 + [REFLEXION]
+    for payload in handler.served:
+        assert payload["temperature"] == 0.0
+        assert payload["max_tokens"] == 4000
+
+
+def test_live_backends_share_one_rate_limiter(monkeypatch):
+    """LM_RPM limits the whole run: every live backend draws from one token bucket."""
+    from echogrid.harness import make_backend
+
+    monkeypatch.setenv("LM_BASE_URL", "http://127.0.0.1:9")
+    monkeypatch.setenv("LM_API_KEY", "test-key")
+    monkeypatch.setenv("LM_MODEL", "test-model")
+    monkeypatch.setenv("LM_RPM", "60")
+    first, second = make_backend("live", None), make_backend("live", None)
+    assert first.rate_limiter is not None
+    assert first.rate_limiter is second.rate_limiter
+    monkeypatch.delenv("LM_RPM")
+    assert make_backend("live", None).rate_limiter is None
+
+
 def test_live_backend_requires_configuration(monkeypatch):
     for var in ("LM_API_KEY", "LM_BASE_URL", "LM_MODEL"):
         monkeypatch.delenv(var, raising=False)
     with pytest.raises(BackendError, match="requires"):
         LiveBackend()
-
-
-def test_request_validation():
-    with pytest.raises(ValueError):
-        LMRequest(system_prompt="s", messages=[], temperature=-0.5)
-    with pytest.raises(ValueError):
-        LMRequest(system_prompt="s", messages=[], max_new_tokens=0)
 
 
 def test_parse_choice_plain():

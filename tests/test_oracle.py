@@ -15,7 +15,6 @@ from echogrid.oracle import (
     ScriptExhaustedError,
     TurnLeftBackend,
     bfs_plan,
-    classify_request,
     extract_mentions,
     parse_route,
     route_text,
@@ -23,10 +22,13 @@ from echogrid.oracle import (
 )
 from echogrid.policy import ReactPolicy
 from echogrid.prompts import (
+    AWM,
     ECHO_IDENTIFY_GOALS,
     ECHO_INFER_TRAJ,
     ECHO_SUMMARIZE,
+    REFLEXION,
     agent_system_prompt,
+    classify_request,
 )
 from echogrid.textview import render_goal
 from echogrid.world import PICK_UP, Goal, copy_world, goal_satisfied, reset, step
@@ -171,6 +173,12 @@ def test_classify_request_routes_by_system_prompt():
     assert classify_request(summarize) == "summarize"
     identify = LMRequest(system_prompt=ECHO_IDENTIFY_GOALS, messages=[])
     assert classify_request(identify) == "identify_goals"
+    with_memory = _agent_request("Pick up the grey key", memory_text="Known workflows:\nx: y")
+    assert classify_request(with_memory) == "agent"
+    assert classify_request(_agent_request("x", memory_text="")) == "agent"
+    for prompt, role in ((ECHO_INFER_TRAJ, "infer_traj"), (REFLEXION, "reflect"), (AWM, "awm")):
+        assert classify_request(LMRequest(system_prompt=prompt, messages=[])) == role
+    assert classify_request(LMRequest(system_prompt="You are a poet.", messages=[])) == "unknown"
 
 
 def test_sighting_tour_sees_every_object(bench_worlds):
