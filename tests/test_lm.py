@@ -108,16 +108,21 @@ def test_live_backend_rejects_empty_content(stub_server):
         _backend(url).complete(_request())
 
 
+def _live_env(monkeypatch, url: str) -> None:
+    """Point make_backend("live", ...) at url, with no rate limit."""
+    monkeypatch.setenv("LM_BASE_URL", url)
+    monkeypatch.setenv("LM_API_KEY", "test-key")
+    monkeypatch.setenv("LM_MODEL", "test-model")
+    monkeypatch.delenv("LM_RPM", raising=False)
+
+
 def test_live_run_counts_strategy_calls(stub_server, monkeypatch):
     """strategy_calls counts the live backend's reflect completions (one per failed episode)."""
     from echogrid.harness import RunConfig, run_stream
 
     url, handler = stub_server
     handler.plan = [(200, _completion_body('{"thought":"t","choice":0,"reflection":"r"}'))]
-    monkeypatch.setenv("LM_BASE_URL", url)
-    monkeypatch.setenv("LM_API_KEY", "test-key")
-    monkeypatch.setenv("LM_MODEL", "test-model")
-    monkeypatch.delenv("LM_RPM", raising=False)
+    _live_env(monkeypatch, url)
     config = RunConfig(
         env_seeds=(0,), episodes_per_env=2, horizon=4, strategy="reflexion", backend="live"
     )
@@ -133,10 +138,7 @@ def test_live_run_sends_fixed_sampling_settings(stub_server, monkeypatch):
 
     url, handler = stub_server
     handler.plan = [(200, _completion_body('{"thought":"t","choice":0,"reflection":"r"}'))]
-    monkeypatch.setenv("LM_BASE_URL", url)
-    monkeypatch.setenv("LM_API_KEY", "test-key")
-    monkeypatch.setenv("LM_MODEL", "test-model")
-    monkeypatch.delenv("LM_RPM", raising=False)
+    _live_env(monkeypatch, url)
     config = RunConfig(
         env_seeds=(0,), episodes_per_env=1, horizon=3, strategy="reflexion", backend="live"
     )
@@ -152,9 +154,7 @@ def test_live_backends_share_one_rate_limiter(monkeypatch):
     """LM_RPM limits the whole run: every live backend draws from one token bucket."""
     from echogrid.harness import make_backend
 
-    monkeypatch.setenv("LM_BASE_URL", "http://127.0.0.1:9")
-    monkeypatch.setenv("LM_API_KEY", "test-key")
-    monkeypatch.setenv("LM_MODEL", "test-model")
+    _live_env(monkeypatch, "http://127.0.0.1:9")
     monkeypatch.setenv("LM_RPM", "60")
     first, second = make_backend("live", None), make_backend("live", None)
     assert first.rate_limiter is not None
