@@ -70,8 +70,10 @@ class RunConfig:
                 f"run config keys: missing {sorted(names - set(doc))}, "
                 f"unknown {sorted(set(doc) - names)}"
             )
-        if not is_seed_list(doc["env_seeds"]):
-            raise ValueError("run config env_seeds must be a non-empty list of integers")
+        for f in fields(cls):
+            check, expected = _JSON_TYPES[f.type]
+            if not check(doc[f.name]):
+                raise ValueError(f"run config {f.name} must be {expected}, got {doc[f.name]!r}")
         doc["env_seeds"] = tuple(doc["env_seeds"])
         return cls(**doc)
 
@@ -79,6 +81,15 @@ class RunConfig:
 def is_seed_list(value) -> bool:
     """Env seeds as stored in JSON: a non-empty list of integers (not bools)."""
     return isinstance(value, list) and bool(value) and all(type(v) is int for v in value)
+
+
+# RunConfig field annotation -> (check of its JSON value, what the check wants).
+_JSON_TYPES = {
+    "tuple[int, ...]": (is_seed_list, "a non-empty list of integers"),
+    "int": (lambda v: type(v) is int, "an integer"),
+    "Optional[int]": (lambda v: v is None or type(v) is int, "an integer or null"),
+    "str": (lambda v: type(v) is str, "a string"),
+}
 
 
 @dataclass
@@ -326,7 +337,9 @@ def validity_analysis(
     """Run sampled (goal, workflow) pairs with the workflow injected into the
     system prompt and count how many reach their goal.
 
-    pools maps env seed to that run's stored (goal, workflow) pairs.
+    pools maps env seed to that run's stored (goal, workflow) pairs. Pairs of
+    one env share a backend: scripted replies depend only on the request and
+    the reset world.
     """
     flat = [
         (env_seed, goal, workflow)
@@ -340,6 +353,7 @@ def validity_analysis(
         flat = [flat[i] for i in sorted(rng.sample(range(len(flat)), n_samples))]
     successes = 0
     failures = []
+    backends = {}
     for env_seed, goal_text, workflow in flat:
         world = worlds[env_seed]
         reset(world)
@@ -360,9 +374,10 @@ def validity_analysis(
                 )
             )
             continue
-        backend = make_backend(backend_spec, world)
+        if env_seed not in backends:
+            backends[env_seed] = make_backend(backend_spec, world)
         policy = ReactPolicy(
-            backend,
+            backends[env_seed],
             horizon=horizon,
             memory_text=render_workflows([(canonical_goal(goal_text), workflow)]),
         )
@@ -393,6 +408,10 @@ def load_run_record(run_dir: Path) -> RunRecord:
             raise ValueError(f"{run_dir}/metrics.csv: unexpected header {header!r}")
         for line in fh:
             env_seed, _episode, goal, reward, _steps, _cum, _strategy = line.rstrip("\n").split(",")
+            if int(env_seed) not in rewards:
+                raise ValueError(
+                    f"{run_dir}/metrics.csv: env seed {env_seed} is not in config.json"
+                )
             rewards[int(env_seed)].append(int(reward))
             goals[int(env_seed)].append(goal)
     return RunRecord(config=config, rewards=rewards, goals=goals)

@@ -32,7 +32,6 @@ from .world import (
     copy_world,
     open_doors,
     reset,
-    sight_blocker,
     step,
     turned,
 )
@@ -120,14 +119,13 @@ def sighting_tour(world: GridWorld) -> list[int]:
     seen: set[int] = set()
 
     def note_sightings():
-        pose = (scratch.agent.position, scratch.agent.facing)
-        blocked = sight_blocker(scratch, open_doors(scratch))
+        pos, facing, opened = scratch.agent.position, scratch.agent.facing, open_doors(scratch)
         for i, obj in enumerate(scratch.objects):
-            if i not in seen and sees(*pose, obj.position, blocked):
+            if i not in seen and sees(scratch, pos, facing, obj.position, opened):
                 seen.add(i)
 
     def in_view(target):
-        return lambda pos, facing, opened: sees(pos, facing, target, sight_blocker(scratch, opened))
+        return lambda pos, facing, opened: sees(scratch, pos, facing, target, opened)
 
     note_sightings()
     while len(seen) < len(scratch.objects):
@@ -228,7 +226,7 @@ class ScriptedBackend:
     """Deterministic backend driven by a canned list or a rule function.
 
     Every request is recorded so tests can assert exact call counts. An
-    exhausted script raises.
+    exhausted script raises. Subclasses answer by overriding _respond.
     """
 
     def __init__(
@@ -248,6 +246,9 @@ class ScriptedBackend:
 
     def complete(self, request: LMRequest) -> str:
         self.requests.append(request)
+        return self._respond(request)
+
+    def _respond(self, request: LMRequest) -> str:
         if self.rules is not None:
             return self.rules(request)
         index = len(self.requests) - 1
@@ -260,7 +261,10 @@ class _RuleBackend(ScriptedBackend):
     """Scripted backend with per-call-type handler methods."""
 
     def __init__(self):
-        super().__init__(rules=self._respond)
+        # No script or rules: storing the bound self._respond as rules would be
+        # a reference cycle, keeping every backend (and its world) alive until
+        # a garbage-collector pass.
+        self.requests: list[LMRequest] = []
 
     def _respond(self, request: LMRequest) -> str:
         kind = classify_request(request)

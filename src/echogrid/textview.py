@@ -18,7 +18,6 @@ from .world import (
     FACING_VECTORS,
     KINDS,
     RIGHT_VECTORS,
-    Blocker,
     Goal,
     GridWorld,
     action_menus,
@@ -130,21 +129,43 @@ def in_window(ahead: int, lateral: int) -> bool:
     return 0 <= ahead <= WINDOW_AHEAD and abs(lateral) <= WINDOW_SIDE and (ahead, lateral) != (0, 0)
 
 
-def sees(origin: tuple[int, int], facing: str, target: tuple[int, int], blocked: Blocker) -> bool:
-    """Whether target is in the window of the pose (origin, facing) with a clear line."""
-    ahead, lateral = offset_from(origin, facing, target)
-    return in_window(ahead, lateral) and segment_clear(origin, target, blocked)
+def sees(
+    world: GridWorld,
+    origin: tuple[int, int],
+    facing: str,
+    target: tuple[int, int],
+    opened: frozenset,
+) -> bool:
+    """Whether target is in the window of the pose (origin, facing) with a clear
+    line, given the open doors; memoized in world.sight."""
+    key = (origin, facing, opened, target)
+    seen = world.sight.get(key)
+    if seen is None:
+        ahead, lateral = offset_from(origin, facing, target)
+        seen = world.sight[key] = in_window(ahead, lateral) and segment_clear(
+            origin, target, sight_blocker(world, opened)
+        )
+    return seen
 
 
-def forward_wall_steps(world: GridWorld) -> int:
-    """Free forward steps before a wall or closed door stops the agent's line."""
-    blocked = sight_blocker(world, open_doors(world))
-    fx, fy = FACING_VECTORS[world.agent.facing]
-    x, y = world.agent.position
-    k = 1
-    while not blocked((x + k * fx, y + k * fy)):
-        k += 1
-    return k - 1
+def forward_wall_steps(world: GridWorld, opened: Optional[frozenset] = None) -> int:
+    """Free forward steps before a wall or closed door stops the agent's line.
+
+    opened, when given, must equal open_doors(world).
+    """
+    if opened is None:
+        opened = open_doors(world)
+    key = (world.agent.position, world.agent.facing, opened)
+    steps = world.sight.get(key)
+    if steps is None:
+        blocked = sight_blocker(world, opened)
+        fx, fy = FACING_VECTORS[world.agent.facing]
+        x, y = world.agent.position
+        k = 1
+        while not blocked((x + k * fx, y + k * fy)):
+            k += 1
+        steps = world.sight[key] = k - 1
+    return steps
 
 
 def offset_phrase(ahead: int, lateral: int) -> str:
@@ -160,20 +181,22 @@ def offset_phrase(ahead: int, lateral: int) -> str:
     return " and ".join(parts)
 
 
-def visible_entities(world: GridWorld) -> list[VisibleEntity]:
+def visible_entities(world: GridWorld, opened: Optional[frozenset] = None) -> list[VisibleEntity]:
     """Entities in the unoccluded window, nearest first.
 
     Order: L1 distance, then left before right, then color name, then kind.
+    opened, when given, must equal open_doors(world).
     """
-    blocked = sight_blocker(world, open_doors(world))
+    if opened is None:
+        opened = open_doors(world)
     pos, facing = world.agent.position, world.agent.facing
     found = []
     for obj in world.objects:
-        if obj.position is not None and sees(pos, facing, obj.position, blocked):
+        if obj.position is not None and sees(world, pos, facing, obj.position, opened):
             ahead, lateral = relative_offset(world, obj.position)
             found.append(VisibleEntity("object", obj.color, obj.kind, None, ahead, lateral))
     for door in world.doors:
-        if sees(pos, facing, door.position, blocked):
+        if sees(world, pos, facing, door.position, opened):
             ahead, lateral = relative_offset(world, door.position)
             found.append(VisibleEntity("door", door.color, "door", door.state, ahead, lateral))
     found.sort(key=lambda e: (e.ahead + abs(e.lateral), e.lateral, e.color, e.kind))
@@ -192,8 +215,9 @@ def entity_sentence(entity: VisibleEntity) -> str:
 
 def render(world: GridWorld) -> Observation:
     """Full observation: wall distance, visible entities, carried object."""
-    entities = visible_entities(world)
-    sentences = [WALL_TEMPLATE.format(distance=steps_phrase(forward_wall_steps(world)))]
+    opened = open_doors(world)
+    entities = visible_entities(world, opened)
+    sentences = [WALL_TEMPLATE.format(distance=steps_phrase(forward_wall_steps(world, opened)))]
     sentences.extend(entity_sentence(e) for e in entities)
     carried = world.carried_object
     if carried is not None:
@@ -201,7 +225,7 @@ def render(world: GridWorld) -> Observation:
     return Observation(
         text=" ".join(sentences),
         visible_entities=entities,
-        menus=action_menus(world),
+        menus=action_menus(world, opened),
     )
 
 

@@ -8,6 +8,9 @@ makes cross-episode memory the only learnable advantage.
 
 The movement and sight rules (can_enter, sight_blocker, action_validity)
 live here alone; step, the text renderer and the BFS planner read them.
+Wall and door cells never change after generate or from_json, and objects
+never block sight, so what a pose sees depends only on the pose and the
+open-door set: GridWorld.sight memoizes it per world.
 
 Coordinates are (x, y) with x growing east and y growing south; north is -y.
 """
@@ -15,7 +18,7 @@ Coordinates are (x, y) with x growing east and y growing south; north is -y.
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from typing import Callable, Optional
 
 from .rng import stage_stream
@@ -108,6 +111,10 @@ class GridWorld:
     agent: AgentPose
     seed: int
     room_layout: tuple[tuple[int, int, int, int], ...]  # interior (x0, y0, x1, y1) per room
+    # Sight memo, filled lazily by textview and shared by copy_world copies:
+    # (position, facing, open doors, target) -> target seen, and
+    # (position, facing, open doors) -> free forward steps. Never serialized.
+    sight: dict = field(default_factory=dict, compare=False, repr=False)
 
     def cell(self, pos: tuple[int, int]) -> str:
         x, y = pos
@@ -286,15 +293,18 @@ def turned(facing: str, action: int) -> str:
     return FACINGS[(FACINGS.index(facing) + (-1 if action == TURN_LEFT else 1)) % 4]
 
 
-def action_validity(world: GridWorld) -> tuple[bool, ...]:
-    """Whether each of the six actions, by index, is valid in the current state."""
+def action_validity(world: GridWorld, opened: Optional[frozenset] = None) -> tuple[bool, ...]:
+    """Whether each of the six actions, by index, is valid in the current state.
+
+    opened, when given, must equal open_doors(world).
+    """
     ahead = facing_cell(world)
     obj_ahead = world.object_at(ahead)
     carrying = world.agent.carrying is not None
     return (
         True,
         True,
-        can_enter(world, ahead, open_doors(world)),
+        can_enter(world, ahead, open_doors(world) if opened is None else opened),
         not carrying and obj_ahead is not None,
         carrying and can_enter(world, ahead, frozenset()),  # object-free floor
         world.door_at(ahead) is not None,
@@ -327,9 +337,11 @@ def step(world: GridWorld, action: int) -> tuple[GridWorld, bool]:
     return world, True
 
 
-def action_menus(world: GridWorld) -> tuple[dict[int, str], dict[int, str]]:
+def action_menus(
+    world: GridWorld, opened: Optional[frozenset] = None
+) -> tuple[dict[int, str], dict[int, str]]:
     """Partition all six actions into (valid, invalid) maps at fixed indices."""
-    validity = action_validity(world)
+    validity = action_validity(world, opened)
     valid = {i: ACTION_NAMES[i] for i in range(6) if validity[i]}
     invalid = {i: ACTION_NAMES[i] for i in range(6) if not validity[i]}
     return valid, invalid
@@ -419,8 +431,25 @@ def from_json(text: str) -> GridWorld:
 
 
 def copy_world(world: GridWorld) -> GridWorld:
-    """Independent deep copy (cheap: the snapshot round-trips losslessly)."""
-    return from_json(to_json(world))
+    """Copy whose doors, objects and agent change independently of world's.
+
+    The layout (cells, room_layout) never changes after generation, so the
+    copy shares it, and with it the sight memo.
+    """
+    agent = world.agent
+    return GridWorld(
+        width=world.width,
+        height=world.height,
+        cells=world.cells,
+        doors=[Door(d.color, d.position, d.state, d.home_state) for d in world.doors],
+        objects=[
+            WorldObject(o.kind, o.color, o.position, o.home_position) for o in world.objects
+        ],
+        agent=AgentPose(agent.position, agent.facing, agent.carrying, agent.home),
+        seed=world.seed,
+        room_layout=world.room_layout,
+        sight=world.sight,
+    )
 
 
 _AGENT_GLYPHS = {"north": "^", "east": ">", "south": "v", "west": "<"}

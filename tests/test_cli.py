@@ -233,7 +233,18 @@ def test_run_rejects_malformed_index(tmp_path, capsys, index):
     assert not out.exists()
 
 
-@pytest.mark.parametrize("edit", ["unknown_key", "missing_key", "not_an_object", "no_seeds"])
+_WRONG_TYPES = {
+    "str_episodes": ("episodes_per_env", "2"),
+    "bool_horizon": ("horizon", True),
+    "float_workers": ("workers", 1.5),
+    "int_strategy": ("strategy", 3),
+    "null_goal_seed": ("goal_seed", None),
+}
+
+
+@pytest.mark.parametrize(
+    "edit", ["unknown_key", "missing_key", "not_an_object", "no_seeds", *_WRONG_TYPES]
+)
 def test_malformed_run_config_exits_1(tmp_path, edit):
     """run --resume-config, validate and eval reject a malformed config.json with exit 1."""
     envs = _gen(tmp_path)
@@ -245,6 +256,9 @@ def test_malformed_run_config_exits_1(tmp_path, edit):
         del doc["horizon"]
     elif edit == "no_seeds":
         doc["env_seeds"] = []
+    elif edit in _WRONG_TYPES:
+        key, value = _WRONG_TYPES[edit]
+        doc[key] = value
     else:
         doc = [1]
     (run / "config.json").write_text(json.dumps(doc))
@@ -254,6 +268,28 @@ def test_malformed_run_config_exits_1(tmp_path, edit):
     assert main(["validate", "--run", str(run)]) == 1
     csv = tmp_path / "m.csv"
     assert main(["eval", "--runs", str(run), "--baseline", str(run), "--out", str(csv)]) == 1
+    assert not csv.exists()
+
+
+@pytest.mark.parametrize(
+    "row, message",
+    [
+        ("7,0,Pick up the red key,0,64,0.0,react", "env seed 7 is not in config.json"),
+        ("0,0,Pick up the red key", "not enough values"),
+    ],
+    ids=["unknown_seed", "short_row"],
+)
+def test_eval_rejects_bad_metrics_row(tmp_path, capsys, row, message):
+    """A metrics.csv row that config.json cannot place exits 1 with a message."""
+    envs = _gen(tmp_path)
+    run = _run(tmp_path, envs, "run")
+    with open(run / "metrics.csv", "a", encoding="utf-8") as fh:
+        fh.write(row + "\n")
+    csv = tmp_path / "m.csv"
+    assert main(["eval", "--runs", str(run), "--baseline", str(run), "--out", str(csv)]) == 1
+    err = capsys.readouterr().err
+    assert message in err
+    assert "Traceback" not in err
     assert not csv.exists()
 
 

@@ -292,6 +292,52 @@ def test_validity_analysis_bfs_backed_is_perfect(tmp_path):
     assert report.failures == []
 
 
+def test_validity_analysis_builds_one_backend_per_env(tmp_path, monkeypatch):
+    """Pairs of one env share a backend, and the report equals one built with a
+    fresh backend per pair (each pair validated on its own)."""
+    from echogrid import harness
+    from echogrid.world import COLORS, KINDS
+
+    config = _config(
+        env_seeds=(0, 1, 2), episodes_per_env=3, strategy="echo", backend="scripted:bfs-demo"
+    )
+    run_stream(config, out_dir=tmp_path / "run")
+    pools = load_validity_pools(tmp_path / "run")
+    worlds = {seed: generate(seed) for seed in (0, 1, 2)}
+    # Add a pair that deviates (a valid route that stops short) and, for env 1,
+    # a hallucinated goal, so the report holds both failure classes.
+    goal = render_goal(Goal(worlds[0].objects[0].color, worlds[0].objects[0].kind))
+    pools[0].append(
+        (goal, f"Step 1: From the starting position, follow this route: turn left. Step 2: {goal}.")
+    )
+    present = {(o.color, o.kind) for o in worlds[1].objects}
+    absent = next((c, k) for k in KINDS for c in COLORS if (c, k) not in present)
+    pools[1].append((f"Pick up the {absent[0]} {absent[1]}", "Step 1: wander."))
+
+    expected = harness.ValidityReport(successes=0, total=0)
+    for env_seed in sorted(pools):
+        for pair in pools[env_seed]:
+            one = validity_analysis({env_seed: [pair]}, worlds, "scripted:bfs-demo", n_samples=1)
+            expected.successes += one.successes
+            expected.total += one.total
+            expected.failures += one.failures
+
+    built = []
+    real_make_backend = harness.make_backend
+
+    def recording_make_backend(spec, world, mirror_path=None):
+        built.append(world.seed)
+        return real_make_backend(spec, world, mirror_path)
+
+    monkeypatch.setattr(harness, "make_backend", recording_make_backend)
+    report = validity_analysis(pools, worlds, "scripted:bfs-demo", n_samples=40)
+    assert built == [0, 1, 2]
+    assert report == expected
+    assert sorted(f.classification for f in report.failures) == [
+        "agent_deviation", "infeasible_step",
+    ]
+
+
 def test_validity_analysis_nothing_to_validate():
     report = validity_analysis({}, {}, "scripted:bfs-demo", n_samples=40)
     assert report.nothing_to_validate

@@ -159,6 +159,30 @@ def test_scripted_backend_records_and_strict_exhaustion():
         backend.complete(request)
 
 
+@pytest.mark.parametrize(
+    "make",
+    [lambda w: TurnLeftBackend(), OracleBackend, DemoBackend],
+    ids=["turn-left", "oracle", "bfs-demo"],
+)
+def test_scripted_backends_freed_without_gc(world7, make):
+    """No reference cycle keeps a rule backend or its world copy alive."""
+    import gc
+    import weakref
+
+    gc.disable()
+    try:
+        backend = make(world7)
+        goal = Goal(world7.objects[0].color, world7.objects[0].kind)
+        run_episode(reset(copy_world(world7)), goal, ReactPolicy(backend), horizon=4)
+        refs = [weakref.ref(backend)]
+        if hasattr(backend, "world"):
+            refs.append(weakref.ref(backend.world))
+        del backend
+        assert [r() for r in refs] == [None] * len(refs)
+    finally:
+        gc.enable()
+
+
 def test_scripted_backend_requires_exactly_one_source():
     with pytest.raises(ValueError):
         ScriptedBackend()

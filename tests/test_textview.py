@@ -24,7 +24,18 @@ from echogrid.textview import (
     render_goal,
     steps_phrase,
 )
-from echogrid.world import DOOR, FLOOR, WALL, Goal, generate, step
+from echogrid.world import (
+    DOOR,
+    FLOOR,
+    WALL,
+    Goal,
+    action_menus,
+    copy_world,
+    from_json,
+    generate,
+    step,
+    to_json,
+)
 
 from conftest import world_from_ascii
 
@@ -253,3 +264,20 @@ def test_window_completeness_against_oracle(seed, spot, facing_index, door_bits)
         if in_window(ahead, lateral) and oracle_visible(world, door.position):
             expected.add((door.color, "door", ahead, lateral))
     assert rendered == expected
+
+
+@settings(max_examples=40, deadline=None)
+@given(
+    seed=st.integers(min_value=0, max_value=60),
+    picks=st.lists(st.integers(min_value=0, max_value=5), max_size=120),
+)
+def test_render_with_filled_memo_matches_fresh_world(seed, picks):
+    """The sight memo never changes a render: at every state of a walk over
+    valid actions (moves, toggles, pick-ups, put-downs), the walked world,
+    whose memo the walk fills, renders like its snapshot, whose memo is empty."""
+    world = copy_world(generate(seed))
+    for pick in [*picks, None]:
+        assert render(world) == render(from_json(to_json(world)))
+        if pick is not None:
+            valid = sorted(action_menus(world)[0])
+            step(world, valid[pick % len(valid)])

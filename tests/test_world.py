@@ -301,6 +301,23 @@ def test_reset_roundtrip_property(seed, actions):
     assert reset(world) == pristine
 
 
+@settings(max_examples=40, deadline=None)
+@given(
+    seed=st.integers(min_value=0, max_value=50),
+    picks=st.lists(st.integers(min_value=0, max_value=5), max_size=60),
+)
+def test_stepping_a_copy_leaves_the_original(seed, picks):
+    """copy_world shares only the fixed layout and the sight memo."""
+    original = generate(seed)
+    before = to_json(original)
+    copy = copy_world(original)
+    assert to_json(copy) == before
+    for pick in picks:
+        valid = sorted(action_menus(copy)[0])
+        step(copy, valid[pick % len(valid)])
+        assert to_json(original) == before
+
+
 def test_snapshot_roundtrip(world7):
     world = copy_world(world7)
     _scripted_walk(world)
