@@ -222,6 +222,36 @@ def test_sighting_tour_sees_every_object(bench_worlds):
         assert scratch.agent.carrying is None, "the tour never picks anything up"
 
 
+# sha256 of [[seed, sighting_tour, [bfs_plan per object]] for seeds 0..99],
+# JSON without spaces; pins every plan the scripted backends can emit.
+PLANS_DIGEST = "5cc3d16d660818c54dc655c3af29cc83520ca12bf1fc8d942500fb4575e1e186"
+
+
+def test_tours_and_plans_match_pinned_digest():
+    import hashlib
+
+    from echogrid.world import generate
+
+    rows = []
+    for seed in range(100):
+        world = generate(seed)
+        plans = [bfs_plan(world, Goal(o.color, o.kind)) for o in world.objects]
+        rows.append([seed, sighting_tour(world), plans])
+    encoded = json.dumps(rows, separators=(",", ":")).encode()
+    assert hashlib.sha256(encoded).hexdigest() == PLANS_DIGEST
+
+
+def test_sighting_tour_unseeable_object_is_explicit():
+    """An object no pose can see fails the tour, after the seeable ones."""
+    world = world_from_ascii(
+        "########\n#@.K.#B#\n########",
+        facing="west",
+        legend={"K": ("grey", "key"), "B": ("red", "ball")},
+    )
+    with pytest.raises(PlanningError):
+        sighting_tour(world)
+
+
 def test_route_text_roundtrip(world7):
     goal = Goal(world7.objects[0].color, world7.objects[0].kind)
     plan = bfs_plan(world7, goal)
