@@ -108,7 +108,8 @@ def cmd_gen(args) -> int:
     return 0
 
 
-def _env_seeds_from_dir(envs_dir: str) -> list[int]:
+def _read_index(envs_dir: str) -> dict:
+    """index.json of a gen output dir, with its seeds checked."""
     index_path = Path(envs_dir) / INDEX_FILE
     if not index_path.is_file():
         raise CliError(f"{envs_dir} has no {INDEX_FILE}; run gen first")
@@ -119,7 +120,28 @@ def _env_seeds_from_dir(envs_dir: str) -> list[int]:
     seeds = index.get("seeds") if isinstance(index, dict) else None
     if not is_seed_list(seeds):
         raise CliError(f"{index_path} needs \"seeds\": a non-empty list of integers")
-    return seeds
+    return index
+
+
+def _check_envs_current(envs_dir: str, index: dict, config: RunConfig) -> None:
+    """Fail unless the envs dir holds what generate builds for this config now,
+    so a generator change between gen and run cannot go unnoticed."""
+    size = (index.get("width"), index.get("height"))
+    if size != (config.grid_width, config.grid_height):
+        raise CliError(
+            f"{Path(envs_dir) / INDEX_FILE} gives a {size[0]}x{size[1]} grid; "
+            f"the run uses {config.grid_width}x{config.grid_height}"
+        )
+    for seed in config.env_seeds:
+        path = Path(envs_dir) / f"world_{seed}.json"
+        try:
+            text = path.read_text(encoding="utf-8")
+        except OSError:
+            raise CliError(f"{path} is missing; run gen again") from None
+        if text != to_json(generate(seed, config.gen_config())) + "\n":
+            raise CliError(
+                f"{path} differs from the world generate builds for seed {seed}; run gen again"
+            )
 
 
 def cmd_run(args) -> int:
@@ -131,8 +153,9 @@ def cmd_run(args) -> int:
     else:
         if not args.envs:
             raise CliError("provide --envs (or --resume-config)")
+        index = _read_index(args.envs)
         config = RunConfig(
-            env_seeds=tuple(_env_seeds_from_dir(args.envs)),
+            env_seeds=tuple(index["seeds"]),
             episodes_per_env=args.episodes,
             horizon=args.horizon,
             strategy=args.strategy,
@@ -140,6 +163,7 @@ def cmd_run(args) -> int:
             goal_seed=args.goal_seed,
             workers=args.workers,
         )
+        _check_envs_current(args.envs, index, config)
     if config.episodes_per_env <= 0:
         raise CliError("--episodes must be >= 1")
     out = Path(args.out)

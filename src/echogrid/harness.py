@@ -406,8 +406,13 @@ def load_run_record(run_dir: Path) -> RunRecord:
         header = fh.readline().strip()
         if header != METRICS_HEADER:
             raise ValueError(f"{run_dir}/metrics.csv: unexpected header {header!r}")
-        for line in fh:
-            env_seed, _episode, goal, reward, _steps, _cum, _strategy = line.rstrip("\n").split(",")
+        for lineno, line in enumerate(fh, start=2):
+            row = line.rstrip("\n").split(",")
+            if len(row) != 7:
+                raise ValueError(
+                    f"{run_dir}/metrics.csv line {lineno}: expected 7 fields, got {len(row)}"
+                )
+            env_seed, _episode, goal, reward, _steps, _cum, _strategy = row
             if int(env_seed) not in rewards:
                 raise ValueError(
                     f"{run_dir}/metrics.csv: env seed {env_seed} is not in config.json"

@@ -11,7 +11,6 @@ from __future__ import annotations
 
 import json
 import re
-from collections import deque
 from typing import Callable, Optional
 
 from .lm import LMRequest
@@ -22,18 +21,19 @@ from .world import (
     FACING_VECTORS,
     GO_FORWARD,
     KINDS,
+    LEFT_OF,
     PICK_UP,
+    RIGHT_OF,
     TOGGLE_DOOR,
     TURN_LEFT,
     TURN_RIGHT,
     Goal,
     GridWorld,
-    can_enter,
     copy_world,
+    free_floor,
     open_doors,
     reset,
     step,
-    turned,
 )
 
 
@@ -47,40 +47,62 @@ class ScriptExhaustedError(Exception):
 
 def _search(
     world: GridWorld,
-    goal_test: Callable[[tuple[int, int], str, frozenset], bool],
-) -> list[int]:
-    """Breadth-first search over (position, facing, open doors) states.
+    goal_rank: Callable[[tuple[int, int], str, frozenset], Optional[int]],
+) -> tuple[int, list[int]]:
+    """Level-order breadth-first search over (position, facing, open doors) states.
 
-    Returns the shortest action prefix reaching a state where goal_test
-    holds. Objects are treated as static obstacles.
+    goal_rank ranks a goal state (0 is best) or returns None for any other
+    state. Returns the lowest rank reached at the shallowest goal depth and
+    the actions to the first state reaching it in search order. Objects are
+    static during a search, so the enterable cells are the object-free floor
+    plus the doors in a state's open set.
     """
     doors = {d.position for d in world.doors}
+    floor = free_floor(world)
     start = (world.agent.position, world.agent.facing, open_doors(world))
-    if goal_test(*start):
-        return []
-    queue = deque([(start, [])])
-    visited = {start}
-    while queue:
-        (pos, facing, opened), path = queue.popleft()
-        fx, fy = FACING_VECTORS[facing]
-        ahead = (pos[0] + fx, pos[1] + fy)
-        successors = [
-            (TURN_LEFT, (pos, turned(facing, TURN_LEFT), opened)),
-            (TURN_RIGHT, (pos, turned(facing, TURN_RIGHT), opened)),
-        ]
-        if can_enter(world, ahead, opened):
-            successors.append((GO_FORWARD, (ahead, facing, opened)))
-        if ahead in doors:
-            successors.append((TOGGLE_DOOR, (pos, facing, opened ^ {ahead})))
-        for action, state in successors:
-            if state in visited:
-                continue
-            new_path = path + [action]
-            if goal_test(*state):
-                return new_path
-            visited.add(state)
-            queue.append((state, new_path))
+    rank = goal_rank(*start)
+    if rank is not None:
+        return rank, []
+    parent: dict = {start: None}  # state -> (previous state, action)
+    level = [start]
+    while level:
+        best = best_state = None
+        frontier = []
+        for state in level:
+            pos, facing, opened = state
+            fx, fy = FACING_VECTORS[facing]
+            ahead = (pos[0] + fx, pos[1] + fy)
+            successors = [
+                (TURN_LEFT, (pos, LEFT_OF[facing], opened)),
+                (TURN_RIGHT, (pos, RIGHT_OF[facing], opened)),
+            ]
+            if ahead in floor or ahead in opened:
+                successors.append((GO_FORWARD, (ahead, facing, opened)))
+            if ahead in doors:
+                successors.append((TOGGLE_DOOR, (pos, facing, opened ^ {ahead})))
+            for action, succ in successors:
+                if succ in parent:
+                    continue
+                parent[succ] = (state, action)
+                rank = goal_rank(*succ)
+                if rank is not None and (best is None or rank < best):
+                    if rank == 0:  # nothing ranks lower: stop here
+                        return 0, _path_to(parent, succ)
+                    best, best_state = rank, succ
+                frontier.append(succ)
+        if best is not None:
+            return best, _path_to(parent, best_state)
+        level = frontier
     raise PlanningError("goal state is unreachable")
+
+
+def _path_to(parent: dict, state) -> list[int]:
+    path = []
+    while parent[state] is not None:
+        state, action = parent[state]
+        path.append(action)
+    path.reverse()
+    return path
 
 
 def bfs_plan(world: GridWorld, goal: Goal) -> list[int]:
@@ -95,10 +117,10 @@ def bfs_plan(world: GridWorld, goal: Goal) -> list[int]:
 
     def facing_target(pos, facing, opened):
         fx, fy = FACING_VECTORS[facing]
-        return (pos[0] + fx, pos[1] + fy) == target
+        return 0 if (pos[0] + fx, pos[1] + fy) == target else None
 
     try:
-        path = _search(world, facing_target)
+        _, path = _search(world, facing_target)
     except PlanningError:
         raise PlanningError(
             f"no route reaches the {goal.color} {goal.kind}; "
@@ -110,9 +132,10 @@ def bfs_plan(world: GridWorld, goal: Goal) -> list[int]:
 def sighting_tour(world: GridWorld) -> list[int]:
     """Action sequence after which every object has been in view at least once.
 
-    Greedy: repeatedly plan the shortest route that brings the nearest
-    still-unseen object into the visibility window, crediting everything
-    sighted along the way. The tour never picks anything up.
+    Greedy: repeatedly plan the shortest route that brings a still-unseen
+    object into the visibility window, the lowest-indexed one among the
+    nearest, crediting everything sighted along the way. One search per leg
+    tests every unseen object at each state. The tour never picks anything up.
     """
     scratch = reset(copy_world(world))
     actions: list[int] = []
@@ -124,23 +147,23 @@ def sighting_tour(world: GridWorld) -> list[int]:
             if i not in seen and sees(scratch, pos, facing, obj.position, opened):
                 seen.add(i)
 
-    def in_view(target):
-        return lambda pos, facing, opened: sees(scratch, pos, facing, target, opened)
-
     note_sightings()
     while len(seen) < len(scratch.objects):
-        legs = []
-        for i, obj in enumerate(scratch.objects):
-            if i in seen:
-                continue
-            leg = _search(scratch, in_view(obj.position))
-            legs.append((len(leg), i, leg))
-        legs.sort(key=lambda t: (t[0], t[1]))
-        for action in legs[0][2]:
+        unseen = [i for i in range(len(scratch.objects)) if i not in seen]
+        targets = [scratch.objects[i].position for i in unseen]
+
+        def first_in_view(pos, facing, opened):
+            for rank, target in enumerate(targets):
+                if sees(scratch, pos, facing, target, opened):
+                    return rank
+            return None
+
+        rank, leg = _search(scratch, first_in_view)
+        for action in leg:
             step(scratch, action)
             actions.append(action)
             note_sightings()
-        seen.add(legs[0][1])
+        seen.add(unseen[rank])
     return actions
 
 
@@ -344,21 +367,36 @@ class DemoBackend(OracleBackend):
 
     def __init__(self, world: GridWorld):
         super().__init__(world)
-        self.tour = sighting_tour(self.world)
+        self._tour: Optional[list[int]] = None
+        # (system prompt, goal line) of the last agent request, and its route.
+        self._route_key: Optional[tuple[str, str]] = None
+        self._route: Optional[list[int]] = None
+
+    @property
+    def tour(self) -> list[int]:
+        """The sighting tour, planned when an episode first needs it."""
+        if self._tour is None:
+            self._tour = sighting_tour(self.world)
+        return self._tour
+
+    def _known_route(self, system_prompt: str, goal_text: str) -> Optional[list[int]]:
+        """Parsed route of the known workflow for the goal, if any; every step
+        of an episode asks again with the same prompt and goal."""
+        key = (system_prompt, goal_text)
+        if key != self._route_key:
+            workflow = _known_workflows(system_prompt).get(canonical_goal(goal_text))
+            self._route = parse_route(workflow) if workflow is not None else None
+            self._route_key = key
+        return self._route
 
     def _on_agent(self, request: LMRequest) -> str:
         index = _steps_taken(request)
         goal_text = _goal_line(_last_user_content(request))
-        workflows = _known_workflows(request.system_prompt)
-        workflow = workflows.get(canonical_goal(goal_text))
-        if workflow is not None:
-            route = parse_route(workflow)
-            if route is not None:
-                if index < len(route):
-                    return _choice(
-                        "Following the known workflow for this goal.", route[index]
-                    )
-                return _choice("Workflow exhausted; holding position.", TURN_LEFT)
+        route = self._known_route(request.system_prompt, goal_text)
+        if route is not None:
+            if index < len(route):
+                return _choice("Following the known workflow for this goal.", route[index])
+            return _choice("Workflow exhausted; holding position.", TURN_LEFT)
         if index < len(self.tour):
             return _choice("Exploring the rooms to map out the objects.", self.tour[index])
         return _choice("Tour complete; circling.", TURN_LEFT)

@@ -6,8 +6,9 @@ holds exactly one portable object. Worlds are generated from a 64-bit seed
 and can always be reset to their exact starting configuration, which is what
 makes cross-episode memory the only learnable advantage.
 
-The movement and sight rules (can_enter, sight_blocker, action_validity)
-live here alone; step, the text renderer and the BFS planner read them.
+The movement and sight rules (can_enter, free_floor, sight_blocker,
+action_validity) live here alone; step, the text renderer and the BFS
+planner read them.
 Wall and door cells never change after generate or from_json, and objects
 never block sight, so what a pose sees depends only on the pose and the
 open-door set: GridWorld.sight memoizes it per world.
@@ -44,6 +45,10 @@ RIGHT_VECTORS = {
     "south": (-1, 0),
     "west": (0, -1),
 }
+
+# Facing after a left turn and after a right turn, per facing.
+LEFT_OF = {f: FACINGS[(i - 1) % 4] for i, f in enumerate(FACINGS)}
+RIGHT_OF = {f: FACINGS[(i + 1) % 4] for i, f in enumerate(FACINGS)}
 
 # Global action indexing, constant across all steps and episodes.
 TURN_LEFT = 0
@@ -278,6 +283,21 @@ def can_enter(world: GridWorld, pos: tuple[int, int], opened: frozenset) -> bool
     return cell == FLOOR and world.object_at(pos) is None
 
 
+def free_floor(world: GridWorld) -> set[tuple[int, int]]:
+    """Cells can_enter admits whatever the door states: object-free floor.
+
+    can_enter(world, pos, opened) is pos in free_floor(world) or pos in opened,
+    for as long as no object moves.
+    """
+    occupied = {o.position for o in world.objects}
+    return {
+        (x, y)
+        for y, row in enumerate(world.cells)
+        for x, cell in enumerate(row)
+        if cell == FLOOR and (x, y) not in occupied
+    }
+
+
 def sight_blocker(world: GridWorld, opened: frozenset) -> Blocker:
     """Sight rule: walls and doors not in opened block sight; objects never do."""
 
@@ -290,7 +310,7 @@ def sight_blocker(world: GridWorld, opened: frozenset) -> Blocker:
 
 def turned(facing: str, action: int) -> str:
     """Facing after TURN_LEFT or TURN_RIGHT."""
-    return FACINGS[(FACINGS.index(facing) + (-1 if action == TURN_LEFT else 1)) % 4]
+    return (LEFT_OF if action == TURN_LEFT else RIGHT_OF)[facing]
 
 
 def action_validity(world: GridWorld, opened: Optional[frozenset] = None) -> tuple[bool, ...]:

@@ -233,6 +233,38 @@ def test_run_rejects_malformed_index(tmp_path, capsys, index):
     assert not out.exists()
 
 
+def _edit_snapshot(envs):
+    path = envs / "world_1.json"
+    doc = json.loads(path.read_text())
+    doc["agent"]["facing"] = "west" if doc["agent"]["facing"] != "west" else "east"
+    path.write_text(json.dumps(doc, sort_keys=True, separators=(",", ":")) + "\n")
+
+
+def _widen_index(envs):
+    doc = json.loads((envs / "index.json").read_text())
+    doc["width"] = 15
+    (envs / "index.json").write_text(json.dumps(doc))
+
+
+@pytest.mark.parametrize(
+    "drift, message",
+    [
+        (_edit_snapshot, "world_1.json differs"),
+        (lambda envs: (envs / "world_2.json").unlink(), "world_2.json is missing"),
+        (_widen_index, "15x13 grid"),
+    ],
+    ids=["edited_snapshot", "missing_snapshot", "wrong_width"],
+)
+def test_run_rejects_drifted_envs(tmp_path, capsys, drift, message):
+    """run --envs exits 1 unless the dir holds what generate builds now."""
+    envs = _gen(tmp_path)
+    drift(envs)
+    out = tmp_path / "r"
+    assert main(["run", "--envs", str(envs), "--out", str(out)]) == 1
+    assert message in capsys.readouterr().err
+    assert not out.exists()
+
+
 _WRONG_TYPES = {
     "str_episodes": ("episodes_per_env", "2"),
     "bool_horizon": ("horizon", True),
@@ -275,7 +307,7 @@ def test_malformed_run_config_exits_1(tmp_path, edit):
     "row, message",
     [
         ("7,0,Pick up the red key,0,64,0.0,react", "env seed 7 is not in config.json"),
-        ("0,0,Pick up the red key", "not enough values"),
+        ("0,0,Pick up the red key", "metrics.csv line 14: expected 7 fields, got 3"),
     ],
     ids=["unknown_seed", "short_row"],
 )
@@ -314,6 +346,28 @@ def test_validate_bfs_backed_run_is_100_percent(tmp_path, capsys):
     assert main(["validate", "--run", str(run), "--samples", "40"]) == 0
     out = capsys.readouterr().out
     assert "(100%)" in out
+
+
+def test_bfs_demo_plans_a_tour_only_when_an_episode_needs_it(tmp_path, capsys, monkeypatch):
+    """run plans one sighting tour per env; validate follows stored workflows
+    and plans none."""
+    from echogrid import oracle
+
+    tours = []
+
+    def counted(world):
+        tours.append(world.seed)
+        return real(world)
+
+    real = oracle.sighting_tour
+    monkeypatch.setattr(oracle, "sighting_tour", counted)
+    envs = tmp_path / "envs"
+    assert main(["gen", "--count", "2", "--out", str(envs)]) == 0
+    run = _run(tmp_path, envs, "echo", "--strategy", "echo", "--backend", "scripted:bfs-demo")
+    assert sorted(tours) == [0, 1]
+    assert main(["validate", "--run", str(run)]) == 0
+    assert "(100%)" in capsys.readouterr().out
+    assert sorted(tours) == [0, 1]
 
 
 def test_validate_empty_memory_reports_nothing(tmp_path, capsys):

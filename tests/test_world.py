@@ -17,10 +17,13 @@ from echogrid.world import (
     GenerationError,
     Goal,
     action_menus,
+    can_enter,
     copy_world,
+    free_floor,
     from_json,
     generate,
     goal_satisfied,
+    open_doors,
     reset,
     step,
     to_json,
@@ -284,6 +287,27 @@ def test_step_validity_matches_action_menus(seed, actions):
         for a in range(6):
             _, valid = step(copy_world(world), a)
             assert valid == (a in valid_menu), (a, to_json(world))
+        if action is not None:
+            step(world, action)
+
+
+@settings(max_examples=40, deadline=None)
+@given(
+    seed=st.integers(min_value=0, max_value=50),
+    actions=st.lists(st.integers(min_value=0, max_value=5), max_size=40),
+)
+def test_free_floor_matches_can_enter(seed, actions):
+    """The planner's passable set agrees with can_enter in every state of a walk,
+    for any open-door set, on every cell and one ring outside the grid."""
+    world = generate(seed)
+    all_doors = frozenset(d.position for d in world.doors)
+    for action in [*actions, None]:
+        floor = free_floor(world)
+        for opened in (frozenset(), open_doors(world), all_doors):
+            for y in range(-1, world.height + 1):
+                for x in range(-1, world.width + 1):
+                    expected = can_enter(world, (x, y), opened)
+                    assert ((x, y) in floor or (x, y) in opened) == expected
         if action is not None:
             step(world, action)
 
