@@ -135,10 +135,10 @@ def _check_envs_current(envs_dir: str, index: dict, config: RunConfig) -> None:
     for seed in config.env_seeds:
         path = Path(envs_dir) / f"world_{seed}.json"
         try:
-            text = path.read_text(encoding="utf-8")
+            snapshot = path.read_bytes()
         except OSError:
             raise CliError(f"{path} is missing; run gen again") from None
-        if text != to_json(generate(seed, config.gen_config())) + "\n":
+        if snapshot != (to_json(generate(seed, config.gen_config())) + "\n").encode():
             raise CliError(
                 f"{path} differs from the world generate builds for seed {seed}; run gen again"
             )

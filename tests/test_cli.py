@@ -251,9 +251,10 @@ def _widen_index(envs):
     [
         (_edit_snapshot, "world_1.json differs"),
         (lambda envs: (envs / "world_2.json").unlink(), "world_2.json is missing"),
+        (lambda envs: (envs / "world_0.json").write_bytes(b"\xff\xfe"), "world_0.json differs"),
         (_widen_index, "15x13 grid"),
     ],
-    ids=["edited_snapshot", "missing_snapshot", "wrong_width"],
+    ids=["edited_snapshot", "missing_snapshot", "undecodable_snapshot", "wrong_width"],
 )
 def test_run_rejects_drifted_envs(tmp_path, capsys, drift, message):
     """run --envs exits 1 unless the dir holds what generate builds now."""
