@@ -1,5 +1,7 @@
 """Episode loop contracts and trajectory serialization."""
 
+import json
+
 import pytest
 
 from echogrid.episode import (
@@ -145,6 +147,72 @@ def test_malformed_lines_report_line_numbers(tmp_path):
     path.write_text(good + "\n{not json}\n", encoding="utf-8")
     with pytest.raises(ValueError, match=r"trajectories\.jsonl:2"):
         list(read_trajectories(path))
+
+
+_RECORD = serialize(
+    Trajectory(
+        goal=Goal("grey", "key"),
+        steps=[StepRecord("obs", "thought", 3, True, 1)],
+        success=True,
+        reward=1,
+        env_seed=5,
+        episode_index=2,
+        note="n",
+    )
+)
+
+
+def _edited(edit) -> str:
+    doc = json.loads(_RECORD)
+    edit(doc)
+    return json.dumps(doc)
+
+
+@pytest.mark.parametrize(
+    "edit, note",
+    [
+        pytest.param(lambda d: d.pop("note"), "", id="no_note"),
+        pytest.param(lambda d: d.update(extra=1), "n", id="unknown_top_key"),
+        pytest.param(lambda d: d["steps"][0].update(extra=1), "n", id="unknown_step_key"),
+        pytest.param(lambda d: d["goal"].update(extra=1), "n", id="unknown_goal_key"),
+    ],
+)
+def test_deserialize_accepts(edit, note):
+    """A record without note reads as ""; unknown keys are ignored at every level."""
+    traj = deserialize(_edited(edit))
+    assert traj.note == note
+    traj.note = "n"
+    assert traj == deserialize(_RECORD)
+
+
+_TRAJECTORY_KEYS = ("goal", "steps", "success", "reward", "env_seed", "episode_index")
+_STEP_KEYS = ("observation_text", "thought", "action_index", "was_valid", "step_reward")
+
+
+@pytest.mark.parametrize(
+    "edit",
+    [
+        *[pytest.param(lambda d, k=k: d.pop(k), id=f"no_{k}") for k in _TRAJECTORY_KEYS],
+        *[
+            pytest.param(lambda d, k=k: d["steps"][0].pop(k), id=f"step_no_{k}")
+            for k in _STEP_KEYS
+        ],
+        pytest.param(lambda d: d["goal"].pop("color"), id="goal_no_color"),
+        pytest.param(lambda d: d["steps"].append(3), id="step_int"),
+        pytest.param(lambda d: d["steps"].append("step"), id="step_str"),
+    ],
+)
+def test_deserialize_rejects(tmp_path, capsys, edit):
+    """Each malformed record raises ValueError, and replay exits 1 naming file:line."""
+    from echogrid.cli import main
+
+    record = _edited(edit)
+    with pytest.raises(ValueError, match="malformed trajectory record"):
+        deserialize(record)
+    path = tmp_path / "trajectories.jsonl"
+    path.write_text(f"{_RECORD}\n{record}\n", encoding="utf-8")
+    assert main(["replay", "--trajectory", str(path)]) == 1
+    assert f"{path}:2: malformed trajectory record" in capsys.readouterr().err
 
 
 def test_deserialize_rejects_bad_version():

@@ -1,5 +1,7 @@
 """World generation, reset, and step semantics."""
 
+import hashlib
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -28,6 +30,8 @@ from echogrid.world import (
     step,
     to_json,
 )
+
+from echogrid.rng import SplitMix64
 
 from conftest import world_from_ascii
 
@@ -348,3 +352,29 @@ def test_snapshot_roundtrip(world7):
     text = to_json(world)
     assert from_json(text) == world
     assert to_json(from_json(text)) == text
+
+
+# sha256 over the snapshots below, computed before the snapshot writer was
+# derived from the dataclass fields. run --envs compares every world_<seed>.json
+# with to_json, so a drift here would reject every existing envs dir.
+SNAPSHOTS_SHA256 = "e0c4033a61f38d03cec80c1741e8504ed54dbed5c1e401731c03627ca5533ed3"
+
+
+def test_snapshots_match_pinned_digest():
+    """to_json of seeds 0-99 as generated and after a 40-step walk over valid
+    actions; the walks toggle doors, pick objects up and put them down."""
+    digest = hashlib.sha256()
+    toggled = carrying = put_down = 0
+    for seed in range(100):
+        world = generate(seed)
+        digest.update((to_json(world) + "\n").encode())
+        rng = SplitMix64(seed)
+        for _ in range(40):
+            valid = sorted(action_menus(world)[0])
+            step(world, valid[rng.randbelow(len(valid))])
+        digest.update((to_json(world) + "\n").encode())
+        toggled += any(d.state != d.home_state for d in world.doors)
+        carrying += world.agent.carrying is not None
+        put_down += any(o.position not in (None, o.home_position) for o in world.objects)
+    assert min(toggled, carrying, put_down) > 0, "the walks must cover every field state"
+    assert digest.hexdigest() == SNAPSHOTS_SHA256
