@@ -18,7 +18,15 @@ from .harness import RunConfig, is_seed_list, load_run_record, load_validity_poo
 from .lm import ENV_API_KEY, ENV_BASE_URL, ENV_MODEL
 from .strategies import STRATEGIES
 from .textview import render_goal
-from .world import ACTION_NAMES, GenConfig, GenerationError, ascii_map, generate, to_json
+from .world import (
+    ACTION_NAMES,
+    GenConfig,
+    GenerationError,
+    ascii_map,
+    canonical_json,
+    generate,
+    to_json,
+)
 
 INDEX_FILE = "index.json"
 
@@ -74,10 +82,6 @@ def _parse_args(argv):
     return parser.parse_args(argv)
 
 
-def _write_canonical(path: Path, text: str) -> None:
-    path.write_text(text, encoding="utf-8")
-
-
 def cmd_gen(args) -> int:
     if args.count is not None:
         if args.count <= 0:
@@ -98,12 +102,10 @@ def cmd_gen(args) -> int:
             world = generate(seed, config)
         except GenerationError as exc:
             raise CliError(f"generation failed for seed {seed}: {exc}") from None
-        _write_canonical(out / f"world_{seed}.json", to_json(world) + "\n")
+        (out / f"world_{seed}.json").write_text(to_json(world) + "\n", encoding="utf-8")
         if args.verbose:
             print(f"seed {seed}:\n{ascii_map(world)}\n", file=sys.stderr)
-    _write_canonical(
-        out / INDEX_FILE, json.dumps(index, sort_keys=True, separators=(",", ":")) + "\n"
-    )
+    (out / INDEX_FILE).write_text(canonical_json(index) + "\n", encoding="utf-8")
     print(f"wrote {len(seeds)} world snapshots to {out}", file=sys.stderr)
     return 0
 
@@ -218,11 +220,11 @@ def cmd_eval(args) -> int:
     out = Path(args.out)
     out.parent.mkdir(parents=True, exist_ok=True)
     header = "strategy,env_seed,episode,goal,reward,cum_avg_reward,baseline_cum_avg,gain"
-    _write_canonical(out, "\n".join([header] + rows) + "\n")
+    out.write_text("\n".join([header] + rows) + "\n", encoding="utf-8")
     if args.plot:
         plot = Path(args.plot)
         plot.parent.mkdir(parents=True, exist_ok=True)
-        _write_canonical(plot, harness.render_gain_svg(curves))
+        plot.write_text(harness.render_gain_svg(curves), encoding="utf-8")
     print(f"wrote {len(rows)} rows to {out}", file=sys.stderr)
     return 0
 

@@ -9,11 +9,12 @@ the horizon.
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields
+from operator import itemgetter
 from typing import Iterator, Protocol
 
 from .textview import Observation, render, render_goal
-from .world import ACTION_NAMES, Goal, GridWorld, goal_satisfied, step
+from .world import ACTION_NAMES, Goal, GridWorld, canonical_json, goal_satisfied, step
 
 TRAJECTORY_SCHEMA_VERSION = 1
 
@@ -112,30 +113,21 @@ def format_trajectory(traj: Trajectory) -> str:
 
 
 def serialize(traj: Trajectory) -> str:
-    """One canonical JSONL record (no trailing newline)."""
-    doc = {
-        "version": TRAJECTORY_SCHEMA_VERSION,
-        "env_seed": traj.env_seed,
-        "episode_index": traj.episode_index,
-        "goal": {"color": traj.goal.color, "kind": traj.goal.kind},
-        "success": traj.success,
-        "reward": traj.reward,
-        "note": traj.note,
-        "steps": [
-            {
-                "observation_text": s.observation_text,
-                "thought": s.thought,
-                "action_index": s.action_index,
-                "was_valid": s.was_valid,
-                "step_reward": s.step_reward,
-            }
-            for s in traj.steps
-        ],
-    }
-    return json.dumps(doc, sort_keys=True, separators=(",", ":"))
+    """One canonical JSONL record (no trailing newline) keyed by field name."""
+    return canonical_json({"version": TRAJECTORY_SCHEMA_VERSION, **vars(traj)})
+
+
+# Fields each record must carry, looked up once here rather than per record.
+# note is the one Trajectory field a record may leave out.
+_goal_values = itemgetter(*(f.name for f in fields(Goal)))
+_step_values = itemgetter(*(f.name for f in fields(StepRecord)))
+_TRAJECTORY_SCALARS = tuple(
+    f.name for f in fields(Trajectory) if f.name not in ("goal", "steps", "note")
+)
 
 
 def deserialize(record: str) -> Trajectory:
+    """Trajectory of one record; unknown keys are ignored at every level."""
     try:
         doc = json.loads(record)
     except json.JSONDecodeError as exc:
@@ -144,22 +136,10 @@ def deserialize(record: str) -> Trajectory:
         raise ValueError("unsupported or missing trajectory schema version")
     try:
         return Trajectory(
-            goal=Goal(color=doc["goal"]["color"], kind=doc["goal"]["kind"]),
-            steps=[
-                StepRecord(
-                    observation_text=s["observation_text"],
-                    thought=s["thought"],
-                    action_index=s["action_index"],
-                    was_valid=s["was_valid"],
-                    step_reward=s["step_reward"],
-                )
-                for s in doc["steps"]
-            ],
-            success=doc["success"],
-            reward=doc["reward"],
-            env_seed=doc["env_seed"],
-            episode_index=doc["episode_index"],
+            goal=Goal(*_goal_values(doc["goal"])),
+            steps=[StepRecord(*_step_values(s)) for s in doc["steps"]],
             note=doc.get("note", ""),
+            **{name: doc[name] for name in _TRAJECTORY_SCALARS},
         )
     except (KeyError, TypeError) as exc:
         raise ValueError(f"malformed trajectory record: missing field {exc}") from None

@@ -14,7 +14,7 @@ import json
 import logging
 import os
 from concurrent.futures import ThreadPoolExecutor
-from dataclasses import asdict, dataclass, field, fields
+from dataclasses import dataclass, field, fields
 from functools import lru_cache
 from pathlib import Path
 from typing import Optional
@@ -26,7 +26,7 @@ from .policy import ReactPolicy
 from .rng import SplitMix64, stage_stream
 from .strategies import get_strategy, render_workflows, workflow_pairs
 from .textview import canonical_goal, parse_goal, render_goal
-from .world import GenConfig, Goal, GridWorld, generate, reset
+from .world import GenConfig, Goal, GridWorld, canonical_json, generate, reset
 
 logger = logging.getLogger(__name__)
 
@@ -53,9 +53,7 @@ class RunConfig:
         return GenConfig(width=self.grid_width, height=self.grid_height)
 
     def to_json(self) -> str:
-        doc = {"version": CONFIG_VERSION, **asdict(self)}
-        doc["env_seeds"] = list(self.env_seeds)
-        return json.dumps(doc, sort_keys=True, separators=(",", ":"))
+        return canonical_json({"version": CONFIG_VERSION, **vars(self)})
 
     @classmethod
     def from_json(cls, text: str) -> "RunConfig":
@@ -229,13 +227,11 @@ def run_stream(config: RunConfig, out_dir: Optional[Path] = None) -> RunRecord:
         strategy_calls=sum(e.strategy_calls for s in streams for e in s.episodes),
     )
     if out_dir is not None:
-        write_run_dir(Path(out_dir), config, streams, record)
+        write_run_dir(Path(out_dir), config, streams)
     return record
 
 
-def write_run_dir(
-    out_dir: Path, config: RunConfig, streams: list[StreamResult], record: RunRecord
-) -> None:
+def write_run_dir(out_dir: Path, config: RunConfig, streams: list[StreamResult]) -> None:
     out_dir.mkdir(parents=True, exist_ok=True)
     (out_dir / "config.json").write_text(config.to_json() + "\n", encoding="utf-8")
     with open(out_dir / "trajectories.jsonl", "w", encoding="utf-8") as fh:
@@ -247,9 +243,7 @@ def write_run_dir(
         mem_dir.mkdir(parents=True, exist_ok=True)
         for index, episode in enumerate(stream.episodes):
             (mem_dir / f"{index}.json").write_text(
-                json.dumps(episode.memory_snapshot, sort_keys=True, separators=(",", ":"))
-                + "\n",
-                encoding="utf-8",
+                canonical_json(episode.memory_snapshot) + "\n", encoding="utf-8"
             )
     with open(out_dir / "metrics.csv", "w", encoding="utf-8") as fh:
         fh.write(METRICS_HEADER + "\n")

@@ -246,21 +246,14 @@ def _choice(thought: str, action: int) -> str:
 
 
 class ScriptedBackend:
-    """Deterministic backend driven by a canned list or a rule function.
+    """Deterministic backend that answers with a canned list of replies.
 
     Every request is recorded so tests can assert exact call counts. An
     exhausted script raises. Subclasses answer by overriding _respond.
     """
 
-    def __init__(
-        self,
-        script: Optional[list[str]] = None,
-        rules: Optional[Callable[[LMRequest], str]] = None,
-    ):
-        if (script is None) == (rules is None):
-            raise ValueError("provide exactly one of script or rules")
-        self.script = list(script) if script is not None else None
-        self.rules = rules
+    def __init__(self, script: list[str]):
+        self.script = list(script)
         self.requests: list[LMRequest] = []
 
     @property
@@ -272,8 +265,6 @@ class ScriptedBackend:
         return self._respond(request)
 
     def _respond(self, request: LMRequest) -> str:
-        if self.rules is not None:
-            return self.rules(request)
         index = len(self.requests) - 1
         if index >= len(self.script):
             raise ScriptExhaustedError(f"script exhausted after {len(self.script)} responses")
@@ -284,10 +275,7 @@ class _RuleBackend(ScriptedBackend):
     """Scripted backend with per-call-type handler methods."""
 
     def __init__(self):
-        # No script or rules: storing the bound self._respond as rules would be
-        # a reference cycle, keeping every backend (and its world) alive until
-        # a garbage-collector pass.
-        self.requests: list[LMRequest] = []
+        super().__init__([])
 
     def _respond(self, request: LMRequest) -> str:
         kind = classify_request(request)

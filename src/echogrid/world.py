@@ -9,9 +9,9 @@ makes cross-episode memory the only learnable advantage.
 The movement and sight rules (can_enter, free_floor, sight_blocker,
 action_validity) live here alone; step, the text renderer and the BFS
 planner read them.
-Wall and door cells never change after generate or from_json, and objects
-never block sight, so what a pose sees depends only on the pose and the
-open-door set: GridWorld.sight memoizes it per world.
+Wall and door cells never change after generate, and objects never block
+sight, so what a pose sees depends only on the pose and the open-door set:
+GridWorld.sight memoizes it per world.
 
 Coordinates are (x, y) with x growing east and y growing south; north is -y.
 """
@@ -103,11 +103,16 @@ class AgentPose:
     position: tuple[int, int]
     facing: str
     carrying: Optional[int]  # index into GridWorld.objects
-    home: tuple[tuple[int, int], str]
+    home_position: tuple[int, int]
+    home_facing: str
 
 
 @dataclass
 class GridWorld:
+    """World state. Its field names, and those of Door, WorldObject and
+    AgentPose, are the snapshot's JSON keys (to_json): renaming one changes
+    the format."""
+
     width: int
     height: int
     cells: list[str]  # row strings of WALL/FLOOR/DOOR characters
@@ -245,7 +250,13 @@ def generate(seed: int, config: GenConfig = GenConfig()) -> GridWorld:
         cells=rows,
         doors=doors,
         objects=objects,
-        agent=AgentPose(position=position, facing=facing, carrying=None, home=(position, facing)),
+        agent=AgentPose(
+            position=position,
+            facing=facing,
+            carrying=None,
+            home_position=position,
+            home_facing=facing,
+        ),
         seed=seed,
         room_layout=rooms,
     )
@@ -257,10 +268,10 @@ def reset(world: GridWorld) -> GridWorld:
         obj.position = obj.home_position
     for door in world.doors:
         door.state = door.home_state
-    home_pos, home_facing = world.agent.home
-    world.agent.position = home_pos
-    world.agent.facing = home_facing
-    world.agent.carrying = None
+    agent = world.agent
+    agent.position = agent.home_position
+    agent.facing = agent.home_facing
+    agent.carrying = None
     return world
 
 
@@ -374,80 +385,17 @@ def goal_satisfied(world: GridWorld, goal: Goal) -> bool:
     return carried is not None and carried.color == goal.color and carried.kind == goal.kind
 
 
+def canonical_json(doc) -> str:
+    """The one encoding of every record echogrid writes: sorted keys, compact
+    separators, and each dataclass encoded as its fields."""
+    return json.dumps(doc, sort_keys=True, separators=(",", ":"), default=vars)
+
+
 def to_json(world: GridWorld) -> str:
-    """Canonical one-line JSON snapshot (stable key order)."""
-    doc = {
-        "version": SNAPSHOT_VERSION,
-        "seed": world.seed,
-        "width": world.width,
-        "height": world.height,
-        "cells": world.cells,
-        "room_layout": [list(r) for r in world.room_layout],
-        "doors": [
-            {
-                "color": d.color,
-                "position": list(d.position),
-                "state": d.state,
-                "home_state": d.home_state,
-            }
-            for d in world.doors
-        ],
-        "objects": [
-            {
-                "kind": o.kind,
-                "color": o.color,
-                "position": list(o.position) if o.position is not None else None,
-                "home_position": list(o.home_position),
-            }
-            for o in world.objects
-        ],
-        "agent": {
-            "position": list(world.agent.position),
-            "facing": world.agent.facing,
-            "carrying": world.agent.carrying,
-            "home_position": list(world.agent.home[0]),
-            "home_facing": world.agent.home[1],
-        },
-    }
-    return json.dumps(doc, sort_keys=True, separators=(",", ":"))
-
-
-def from_json(text: str) -> GridWorld:
-    doc = json.loads(text)
-    if doc.get("version") != SNAPSHOT_VERSION:
-        raise ValueError(f"unsupported world snapshot version: {doc.get('version')!r}")
-    agent = doc["agent"]
-    return GridWorld(
-        width=doc["width"],
-        height=doc["height"],
-        cells=list(doc["cells"]),
-        doors=[
-            Door(
-                color=d["color"],
-                position=tuple(d["position"]),
-                state=d["state"],
-                home_state=d["home_state"],
-            )
-            for d in doc["doors"]
-        ],
-        objects=[
-            WorldObject(
-                kind=o["kind"],
-                color=o["color"],
-                position=tuple(o["position"]) if o["position"] is not None else None,
-                home_position=tuple(o["home_position"]),
-            )
-            for o in doc["objects"]
-        ],
-        agent=AgentPose(
-            position=tuple(agent["position"]),
-            facing=agent["facing"],
-            carrying=agent["carrying"],
-            home=(tuple(agent["home_position"]), agent["home_facing"]),
-        ),
-        seed=doc["seed"],
-        room_layout=tuple(tuple(r) for r in doc["room_layout"]),
-    )
+    """One-line snapshot whose keys are the dataclass field names, sight left out."""
+    doc = {"version": SNAPSHOT_VERSION, **vars(world)}
+    del doc["sight"]
+    return canonical_json(doc)
 
 
 def copy_world(world: GridWorld) -> GridWorld:
@@ -465,7 +413,9 @@ def copy_world(world: GridWorld) -> GridWorld:
         objects=[
             WorldObject(o.kind, o.color, o.position, o.home_position) for o in world.objects
         ],
-        agent=AgentPose(agent.position, agent.facing, agent.carrying, agent.home),
+        agent=AgentPose(
+            agent.position, agent.facing, agent.carrying, agent.home_position, agent.home_facing
+        ),
         seed=world.seed,
         room_layout=world.room_layout,
         sight=world.sight,

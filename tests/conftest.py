@@ -62,7 +62,7 @@ def world_from_ascii(
         cells=cells,
         doors=doors,
         objects=objects,
-        agent=AgentPose(position=agent_pos, facing=facing, carrying=None, home=(agent_pos, facing)),
+        agent=AgentPose(agent_pos, facing, None, agent_pos, facing),
         seed=0,
         room_layout=(),
     )

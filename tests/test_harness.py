@@ -201,16 +201,14 @@ def test_run_stream_out_of_range_choice_fails_episodes(tmp_path, monkeypatch):
     """An agent that always answers choice 9 fails each episode; the run still finishes."""
     from echogrid import harness
     from echogrid.episode import read_trajectories
-    from echogrid.oracle import ScriptedBackend
-    from echogrid.prompts import classify_request
+    from echogrid.oracle import TurnLeftBackend
 
-    def rules(request):
-        if classify_request(request) == "agent":
+    class ChoiceNineBackend(TurnLeftBackend):
+        def _on_agent(self, request):
             return json.dumps({"thought": "t", "choice": 9})
-        return json.dumps({"reflection": "note"})
 
     monkeypatch.setattr(
-        harness, "make_backend", lambda spec, world, mirror_path=None: ScriptedBackend(rules=rules)
+        harness, "make_backend", lambda spec, world, mirror_path=None: ChoiceNineBackend()
     )
     run_stream(_config(strategy="reflexion"), out_dir=tmp_path)
     trajectories = list(read_trajectories(tmp_path / "trajectories.jsonl"))

@@ -183,13 +183,6 @@ def test_scripted_backends_freed_without_gc(world7, make):
         gc.enable()
 
 
-def test_scripted_backend_requires_exactly_one_source():
-    with pytest.raises(ValueError):
-        ScriptedBackend()
-    with pytest.raises(ValueError):
-        ScriptedBackend(script=["x"], rules=lambda r: "y")
-
-
 def test_classify_request_routes_by_system_prompt():
     agent = _agent_request("Pick up the grey key")
     assert classify_request(agent) == "agent"

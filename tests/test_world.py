@@ -22,7 +22,6 @@ from echogrid.world import (
     can_enter,
     copy_world,
     free_floor,
-    from_json,
     generate,
     goal_satisfied,
     open_doors,
@@ -344,14 +343,6 @@ def test_stepping_a_copy_leaves_the_original(seed, picks):
         valid = sorted(action_menus(copy)[0])
         step(copy, valid[pick % len(valid)])
         assert to_json(original) == before
-
-
-def test_snapshot_roundtrip(world7):
-    world = copy_world(world7)
-    _scripted_walk(world)
-    text = to_json(world)
-    assert from_json(text) == world
-    assert to_json(from_json(text)) == text
 
 
 # sha256 over the snapshots below, computed before the snapshot writer was
