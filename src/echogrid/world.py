@@ -386,8 +386,9 @@ def goal_satisfied(world: GridWorld, goal: Goal) -> bool:
 
 
 def canonical_json(doc) -> str:
-    """The one encoding of every record echogrid writes: sorted keys, compact
-    separators, and each dataclass encoded as its fields."""
+    """Canonical JSON: sorted keys, compact separators, each dataclass as its
+    fields. World snapshots, index.json, trajectories, run configs and memory
+    snapshots are all written through it."""
     return json.dumps(doc, sort_keys=True, separators=(",", ":"), default=vars)
 
 
