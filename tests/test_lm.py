@@ -1,6 +1,8 @@
 """Backend retry behaviour (against a local stub server) and parser totality."""
 
+import hashlib
 import json
+import socket
 import threading
 from http.server import BaseHTTPRequestHandler, ThreadingHTTPServer
 
@@ -22,15 +24,18 @@ class _StubHandler(BaseHTTPRequestHandler):
     # (status, body) responses consumed in order; the last repeats forever
     plan: list[tuple[int, str]] = []
     served: list[dict] = []
+    raw: list[tuple[bytes, str, str]] = []  # (body, Content-Type, Authorization)
+    short_by = 0  # declare this many more body bytes than are sent, then close
 
     def do_POST(self):
-        length = int(self.headers.get("Content-Length", 0))
-        self.served.append(json.loads(self.rfile.read(length)))
-        status, body = self.plan[min(len(self.served) - 1, len(self.plan) - 1)]
-        payload = body.encode("utf-8")
+        body = self.rfile.read(int(self.headers.get("Content-Length", 0)))
+        self.raw.append((body, self.headers["Content-Type"], self.headers["Authorization"]))
+        self.served.append(json.loads(body))
+        status, reply = self.plan[min(len(self.served) - 1, len(self.plan) - 1)]
+        payload = reply.encode("utf-8")
         self.send_response(status)
         self.send_header("Content-Type", "application/json")
-        self.send_header("Content-Length", str(len(payload)))
+        self.send_header("Content-Length", str(len(payload) + self.short_by))
         self.end_headers()
         self.wfile.write(payload)
 
@@ -52,11 +57,14 @@ def stub_server():
     server = ThreadingHTTPServer(("127.0.0.1", 0), _StubHandler)
     _StubHandler.plan = []
     _StubHandler.served = []
-    thread = threading.Thread(target=server.serve_forever, daemon=True)
+    _StubHandler.raw = []
+    _StubHandler.short_by = 0
+    thread = threading.Thread(target=server.serve_forever, args=(0.01,), daemon=True)
     thread.start()
     yield f"http://127.0.0.1:{server.server_port}", _StubHandler
     server.shutdown()
     thread.join()
+    server.server_close()
 
 
 def _backend(url: str) -> LiveBackend:
@@ -108,6 +116,51 @@ def test_live_backend_rejects_empty_content(stub_server):
         _backend(url).complete(_request())
 
 
+def test_live_backend_rejects_a_body_that_is_not_json(stub_server):
+    url, handler = stub_server
+    handler.plan = [(200, "<html>not json</html>")]
+    with pytest.raises(BackendError, match="malformed chat completion response") as excinfo:
+        _backend(url).complete(_request())
+    assert excinfo.value.status == 200
+    assert excinfo.value.body == "<html>not json</html>"
+    assert len(handler.served) == 1
+
+
+def test_live_backend_does_not_retry_a_client_error(stub_server):
+    url, handler = stub_server
+    handler.plan = [(400, "bad request: \u00e9")]
+    with pytest.raises(BackendError, match="HTTP 400") as excinfo:
+        _backend(url).complete(_request())
+    assert excinfo.value.status == 400
+    assert excinfo.value.body == "bad request: \u00e9"
+    assert len(handler.served) == 1
+
+
+def test_live_backend_retries_a_truncated_reply(stub_server):
+    """A reply cut short of its Content-Length is retried like a dropped connection."""
+    url, handler = stub_server
+    handler.plan = [(200, _completion_body("cut short"))]
+    handler.short_by = 100
+    backend = _backend(url)
+    with pytest.raises(BackendError, match="after 3 attempts") as excinfo:
+        backend.complete(_request())
+    assert excinfo.value.status is None
+    assert len(handler.served) == 3
+    assert backend.stats.calls == 3 and backend.stats.retries == 2
+
+
+def test_live_backend_gives_up_on_a_closed_port():
+    with socket.socket() as sock:
+        sock.bind(("127.0.0.1", 0))
+        port = sock.getsockname()[1]
+    backend = _backend(f"http://127.0.0.1:{port}")
+    with pytest.raises(BackendError, match="after 3 attempts") as excinfo:
+        backend.complete(_request())
+    assert excinfo.value.status is None
+    assert backend.stats.calls == LiveBackend.MAX_ATTEMPTS
+    assert backend.calls == 0
+
+
 def _live_env(monkeypatch, url: str) -> None:
     """Point make_backend("live", ...) at url, with no rate limit."""
     monkeypatch.setenv("LM_BASE_URL", url)
@@ -148,6 +201,40 @@ def test_live_run_sends_fixed_sampling_settings(stub_server, monkeypatch):
     for payload in handler.served:
         assert payload["temperature"] == 0.0
         assert payload["max_tokens"] == 4000
+
+
+# sha256 of a 2-env, 1-worker, horizon-5 reflexion run's request bodies (in
+# arrival order, NUL-separated), of its lm_calls.jsonl, and of its whole run
+# dir (relative path and bytes of each file, sorted by path).
+_LIVE_BODIES_SHA256 = "4919af3dc59f4fab72f80a2bc01bce7beaf3e3eb8c729dcee7cd9b45c459f732"
+_LIVE_MIRROR_SHA256 = "8f378e4ec5dfe94373ce011a66c855847ddb6f5f131685b01b730525e4f7448b"
+_LIVE_RUN_DIR_SHA256 = "044c66958a5f76e04180f8ad6f06079bdd3d544c94bc71be1608e1ac07ba46a2"
+
+
+def test_live_wire_format_matches_pinned_digest(stub_server, monkeypatch, tmp_path):
+    """The bytes a live run sends and mirrors are pinned, headers included."""
+    from echogrid.harness import RunConfig, run_stream
+
+    url, handler = stub_server
+    handler.plan = [(200, _completion_body('{"thought":"t","choice":0,"reflection":"r"}'))]
+    _live_env(monkeypatch, url)
+    config = RunConfig(
+        env_seeds=(0, 1), episodes_per_env=2, horizon=5, strategy="reflexion",
+        backend="live", workers=1,
+    )
+    out = tmp_path / "run"
+    run_stream(config, out_dir=out)
+    assert len(handler.raw) == 24
+    for _, content_type, authorization in handler.raw:
+        assert content_type == "application/json"
+        assert authorization == "Bearer test-key"
+    bodies = b"\0".join(body for body, _, _ in handler.raw)
+    run_dir = hashlib.sha256()
+    for path in sorted(p for p in out.rglob("*") if p.is_file()):
+        run_dir.update(str(path.relative_to(out)).encode() + b"\0" + path.read_bytes() + b"\0")
+    assert hashlib.sha256(bodies).hexdigest() == _LIVE_BODIES_SHA256
+    assert hashlib.sha256((out / "lm_calls.jsonl").read_bytes()).hexdigest() == _LIVE_MIRROR_SHA256
+    assert run_dir.hexdigest() == _LIVE_RUN_DIR_SHA256
 
 
 def test_live_backends_share_one_rate_limiter(monkeypatch):
