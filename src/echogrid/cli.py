@@ -15,7 +15,7 @@ from pathlib import Path
 from . import harness
 from .episode import read_trajectories
 from .harness import RunConfig, is_seed_list, load_run_record, load_validity_pools
-from .lm import ENV_API_KEY, ENV_BASE_URL, ENV_MODEL
+from .lm import BackendError, LiveBackend
 from .strategies import STRATEGIES
 from .textview import render_goal
 from .world import (
@@ -51,7 +51,7 @@ def _parse_args(argv):
     p_gen.add_argument("--force", action="store_true", help="overwrite a non-empty out dir")
     p_gen.add_argument("--verbose", action="store_true", help="print ASCII maps to stderr")
 
-    p_run = sub.add_parser("run", help="run one strategy over environment streams")
+    p_run = sub.add_parser("run", help="run one strategy over env streams")
     p_run.add_argument("--envs", help="directory produced by gen")
     p_run.add_argument("--strategy", choices=sorted(STRATEGIES), default="react")
     p_run.add_argument("--backend", default="scripted:turn-left")
@@ -172,14 +172,10 @@ def cmd_run(args) -> int:
     if out.exists() and (not out.is_dir() or any(out.iterdir())):
         raise CliError(f"--out {out} is not empty; old files would mix with the new run")
     if config.backend == "live":
-        import os
-
-        missing = [v for v in (ENV_BASE_URL, ENV_API_KEY, ENV_MODEL) if not os.environ.get(v)]
-        if missing:
-            raise CliError(f"live backend requires env vars: {', '.join(missing)}")
-        rpm = os.environ.get("LM_RPM", "")
-        if rpm and not (rpm.isdigit() and int(rpm) > 0):
-            raise CliError(f"LM_RPM must be a positive integer, got {rpm!r}")
+        try:
+            LiveBackend()  # checks the live configuration without any I/O
+        except BackendError as exc:
+            raise CliError(str(exc)) from None
     try:
         record = harness.run_stream(config, out_dir=out)
     except ValueError as exc:

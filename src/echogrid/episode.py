@@ -10,7 +10,6 @@ from __future__ import annotations
 
 import json
 from dataclasses import dataclass, field, fields
-from operator import itemgetter
 from typing import Iterator, Protocol
 
 from .textview import Observation, render, render_goal
@@ -117,13 +116,37 @@ def serialize(traj: Trajectory) -> str:
     return canonical_json({"version": TRAJECTORY_SCHEMA_VERSION, **vars(traj)})
 
 
-# Fields each record must carry, looked up once here rather than per record.
-# note is the one Trajectory field a record may leave out.
-_goal_values = itemgetter(*(f.name for f in fields(Goal)))
-_step_values = itemgetter(*(f.name for f in fields(StepRecord)))
-_TRAJECTORY_SCALARS = tuple(
-    f.name for f in fields(Trajectory) if f.name not in ("goal", "steps", "note")
+# The JSON type of each field, from its annotation, looked up once here
+# rather than per record. note is the one field a record may leave out.
+_JSON_TYPES = {"str": str, "int": int, "bool": bool, "Goal": dict, "list[StepRecord]": list}
+_GOAL_FIELDS, _STEP_FIELDS, _TRAJECTORY_FIELDS = (
+    tuple((f.name, _JSON_TYPES[f.type]) for f in fields(cls))
+    for cls in (Goal, StepRecord, Trajectory)
 )
+
+
+def _field_values(doc, spec, where: str) -> list:
+    """doc's values of spec's fields in order, each of exactly its JSON type
+    (so neither an int for a bool nor a bool for an int)."""
+    if not isinstance(doc, dict):
+        raise ValueError(f"{where} is not an object")
+    for name, kind in spec:
+        if name not in doc:
+            raise ValueError(f"missing field {where}.{name}")
+        if type(doc[name]) is not kind:
+            got = type(doc[name]).__name__
+            raise ValueError(f"{where}.{name} must be {kind.__name__}, got {got}")
+    return [doc[name] for name, _ in spec]
+
+
+def _step(doc, index: int) -> StepRecord:
+    step = StepRecord(*_field_values(doc, _STEP_FIELDS, f"steps[{index}]"))
+    if not 0 <= step.action_index < len(ACTION_NAMES):
+        raise ValueError(
+            f"steps[{index}].action_index must be 0..{len(ACTION_NAMES) - 1}, "
+            f"got {step.action_index}"
+        )
+    return step
 
 
 def deserialize(record: str) -> Trajectory:
@@ -134,15 +157,16 @@ def deserialize(record: str) -> Trajectory:
         raise ValueError(f"malformed trajectory record: {exc}") from None
     if not isinstance(doc, dict) or doc.get("version") != TRAJECTORY_SCHEMA_VERSION:
         raise ValueError("unsupported or missing trajectory schema version")
+    doc.setdefault("note", "")
     try:
+        goal, steps, *scalars = _field_values(doc, _TRAJECTORY_FIELDS, "record")
         return Trajectory(
-            goal=Goal(*_goal_values(doc["goal"])),
-            steps=[StepRecord(*_step_values(s)) for s in doc["steps"]],
-            note=doc.get("note", ""),
-            **{name: doc[name] for name in _TRAJECTORY_SCALARS},
+            Goal(*_field_values(goal, _GOAL_FIELDS, "goal")),
+            [_step(s, i) for i, s in enumerate(steps)],
+            *scalars,
         )
-    except (KeyError, TypeError) as exc:
-        raise ValueError(f"malformed trajectory record: missing field {exc}") from None
+    except ValueError as exc:
+        raise ValueError(f"malformed trajectory record: {exc}") from None
 
 
 def read_trajectories(path) -> Iterator[Trajectory]:

@@ -1,9 +1,9 @@
 """Experiment runner, sample-efficiency metrics, and workflow validity checks.
 
-A run walks one episode stream per environment seed: generate, then for
+A run walks one episode stream per env seed: generate, then for
 each episode reset -> act -> record reward -> apply the strategy's
-after_episode. Memory persists across episodes within an environment and
-never across environments. Streams are independent, so they may run in
+after_episode. Memory persists across episodes within an env and
+never across envs. Streams are independent, so they may run in
 parallel; all outputs are written in a fixed order to keep runs
 byte-reproducible.
 """
@@ -12,15 +12,13 @@ from __future__ import annotations
 
 import json
 import logging
-import os
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field, fields
-from functools import lru_cache
 from pathlib import Path
 from typing import Optional
 
 from .episode import Trajectory, run_episode, serialize
-from .lm import BackendError, LiveBackend, TokenBucket
+from .lm import BackendError, LiveBackend
 from .oracle import DemoBackend, OracleBackend, TurnLeftBackend
 from .policy import ReactPolicy
 from .rng import SplitMix64, stage_stream
@@ -115,23 +113,14 @@ class RunRecord:
     strategy_calls: int = 0
 
 
-@lru_cache(maxsize=None)
-def _rate_limiter(requests_per_minute: int) -> TokenBucket:
-    return TokenBucket(requests_per_minute)
-
-
 def make_backend(spec: str, world: GridWorld, mirror_path: Optional[str] = None):
-    """Backend factory; scripted backends are bound to one environment.
+    """Backend factory; scripted backends are bound to one world.
 
-    Live backends honor the optional LM_RPM env var, a token-bucket rate limit
-    shared by every live backend of the process (so it limits the whole run,
-    not each env stream), and mirror raw request/response pairs to mirror_path
-    when given.
+    Live backends read their configuration in lm.LiveBackend and
+    mirror raw request/response pairs to mirror_path when given.
     """
     if spec == "live":
-        rpm = os.environ.get("LM_RPM")
-        limiter = _rate_limiter(int(rpm)) if rpm else None
-        return LiveBackend(rate_limiter=limiter, mirror_path=mirror_path)
+        return LiveBackend(mirror_path=mirror_path)
     if spec == "scripted:turn-left":
         return TurnLeftBackend()
     if spec == "scripted:oracle":
@@ -163,7 +152,7 @@ def _env_goal_seed(goal_seed: int, env_seed: int) -> int:
 def run_env_stream(
     config: RunConfig, env_seed: int, mirror_path: Optional[str] = None
 ) -> StreamResult:
-    """All episodes for one environment; memory evolves strictly in order."""
+    """All episodes for one env; memory evolves strictly in order."""
     world = generate(env_seed, config.gen_config())
     backend = make_backend(config.backend, world, mirror_path=mirror_path)
     strategy = get_strategy(config.strategy)
@@ -203,7 +192,7 @@ def run_env_stream(
 
 
 def run_stream(config: RunConfig, out_dir: Optional[Path] = None) -> RunRecord:
-    """Execute every environment stream and optionally persist the run."""
+    """Execute every env stream and optionally persist the run."""
     mirror_path = None
     if out_dir is not None and config.backend == "live":
         Path(out_dir).mkdir(parents=True, exist_ok=True)
@@ -270,13 +259,13 @@ def cumulative_average(rewards: list) -> list[float]:
 
 
 def mean_cumulative_average(record: RunRecord) -> list[float]:
-    """Per-episode mean over environments of each env's cumulative average."""
+    """Per-episode mean over envs of each env's cumulative average."""
     series = [cumulative_average(record.rewards[s]) for s in record.rewards]
     return [sum(col) / len(col) for col in zip(*series)]
 
 
 def gain_over_baseline(method: RunRecord, baseline: RunRecord) -> list[float]:
-    """Per-episode cumulative-average difference, averaged across environments."""
+    """Per-episode cumulative-average difference, averaged across envs."""
     if (
         sorted(method.rewards) != sorted(baseline.rewards)
         or method.config.episodes_per_env != baseline.config.episodes_per_env
@@ -417,7 +406,7 @@ def load_run_record(run_dir: Path) -> RunRecord:
 
 
 def load_validity_pools(run_dir: Path) -> dict[int, list[tuple[str, str]]]:
-    """Final-episode (goal, workflow) pairs per environment of a saved run."""
+    """Final-episode (goal, workflow) pairs per env of a saved run."""
     pools: dict[int, list[tuple[str, str]]] = {}
     memory_root = run_dir / "memory"
     if not memory_root.is_dir():

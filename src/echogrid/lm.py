@@ -1,23 +1,25 @@
 """Chat-completion backends and tolerant structured-output parsing.
 
-The live backend speaks the OpenAI-compatible /chat/completions wire format
-and is configured through LM_API_KEY / LM_BASE_URL / LM_MODEL. No test ever
-touches it; the suite runs with networking disabled using the scripted
-backends. Parsing is total: any input text yields either a value or a
-ParseError, never another exception.
+The live backend POSTs the OpenAI-compatible /chat/completions wire format
+through urllib, one connection per call; this module alone reads its LM_*
+variables. Tests reach it only through a loopback stub. Parsing is total: any
+input text yields either a value or a ParseError, never another exception.
 """
 
 from __future__ import annotations
 
+import http.client
 import json
 import logging
 import os
 import threading
 import time
+import urllib.error
+import urllib.parse
+import urllib.request
 from dataclasses import dataclass
+from functools import lru_cache
 from typing import Optional, Protocol, runtime_checkable
-
-import requests
 
 from .world import ACTION_NAMES
 
@@ -26,6 +28,7 @@ logger = logging.getLogger(__name__)
 ENV_API_KEY = "LM_API_KEY"
 ENV_BASE_URL = "LM_BASE_URL"
 ENV_MODEL = "LM_MODEL"
+ENV_RPM = "LM_RPM"
 
 
 class ParseError(Exception):
@@ -88,35 +91,46 @@ class BackendStats:
     completion_tokens: int = 0
 
 
+@lru_cache(maxsize=None)
+def _rate_limiter(requests_per_minute: int) -> TokenBucket:
+    """One bucket per process, so LM_RPM limits the whole run, not each env stream."""
+    return TokenBucket(requests_per_minute)
+
+
+def _post(request: urllib.request.Request, timeout: float) -> tuple[int, bytes]:
+    """Status and body of one POST on its own connection, error statuses included."""
+    try:
+        with urllib.request.urlopen(request, timeout=timeout) as resp:
+            return resp.status, resp.read()
+    except urllib.error.HTTPError as exc:
+        with exc:
+            return exc.code, exc.read()
+
+
 class LiveBackend:
-    """OpenAI-compatible chat-completion client with bounded retries."""
+    """OpenAI-compatible chat-completion client with bounded retries; building one does no I/O."""
 
     MAX_ATTEMPTS = 3
     RETRY_STATUSES = {429, 500, 502, 503, 504}
+    TIMEOUT = 60.0  # seconds to connect, and for each read, per attempt
+    RETRY_DELAY = 1.0  # seconds before the first retry; doubled for each later one
     # Sampling settings, the same for agent and offline calls.
     TEMPERATURE = 0.0
     MAX_TOKENS = 4000
 
-    def __init__(
-        self,
-        base_url: Optional[str] = None,
-        api_key: Optional[str] = None,
-        model: Optional[str] = None,
-        timeout: float = 60.0,
-        retry_delay: float = 1.0,
-        rate_limiter: Optional[TokenBucket] = None,
-        mirror_path: Optional[str] = None,
-    ):
-        self.base_url = (base_url or os.environ.get(ENV_BASE_URL, "")).rstrip("/")
-        self.api_key = api_key or os.environ.get(ENV_API_KEY, "")
-        self.model = model or os.environ.get(ENV_MODEL, "")
-        if not self.base_url or not self.api_key or not self.model:
-            raise BackendError(
-                f"live backend requires {ENV_BASE_URL}, {ENV_API_KEY}, and {ENV_MODEL}"
-            )
-        self.timeout = timeout
-        self.retry_delay = retry_delay
-        self.rate_limiter = rate_limiter
+    def __init__(self, mirror_path: Optional[str] = None):
+        missing = [v for v in (ENV_BASE_URL, ENV_API_KEY, ENV_MODEL) if not os.environ.get(v)]
+        if missing:
+            raise BackendError(f"live backend requires env vars: {', '.join(missing)}")
+        self.base_url = os.environ[ENV_BASE_URL].rstrip("/")
+        self.api_key = os.environ[ENV_API_KEY]
+        self.model = os.environ[ENV_MODEL]
+        if urllib.parse.urlsplit(self.base_url).scheme not in ("http", "https"):
+            raise BackendError(f"{ENV_BASE_URL} must be an http(s) URL, got {self.base_url!r}")
+        rpm = os.environ.get(ENV_RPM, "")
+        if rpm and not (rpm.isdecimal() and int(rpm) > 0):
+            raise BackendError(f"{ENV_RPM} must be a positive integer, got {rpm!r}")
+        self.rate_limiter = _rate_limiter(int(rpm)) if rpm else None
         self.mirror_path = mirror_path
         self.stats = BackendStats()
         self.calls = 0  # completions returned; stats.calls counts HTTP attempts
@@ -125,9 +139,7 @@ class LiveBackend:
     def _mirror(self, payload: dict, response_text: str) -> None:
         if not self.mirror_path:
             return
-        record = json.dumps(
-            {"request": payload, "response": response_text}, sort_keys=True
-        )
+        record = json.dumps({"request": payload, "response": response_text}, sort_keys=True)
         with self._lock:
             with open(self.mirror_path, "a", encoding="utf-8") as fh:
                 fh.write(record + "\n")
@@ -135,47 +147,46 @@ class LiveBackend:
     def complete(self, request: LMRequest) -> str:
         payload = {
             "model": self.model,
-            "messages": [{"role": "system", "content": request.system_prompt}]
-            + request.messages,
+            "messages": [{"role": "system", "content": request.system_prompt}, *request.messages],
             "temperature": self.TEMPERATURE,
             "max_tokens": self.MAX_TOKENS,
         }
-        url = f"{self.base_url}/chat/completions"
-        headers = {"Authorization": f"Bearer {self.api_key}"}
+        http_request = urllib.request.Request(
+            f"{self.base_url}/chat/completions",
+            data=json.dumps(payload).encode("utf-8"),
+            headers={"Authorization": f"Bearer {self.api_key}", "Content-Type": "application/json"},
+        )
         last_status, last_body = None, ""
         for attempt in range(self.MAX_ATTEMPTS):
             if self.rate_limiter is not None:
                 self.rate_limiter.acquire()
             if attempt:
-                time.sleep(self.retry_delay * (2 ** (attempt - 1)))
+                time.sleep(self.RETRY_DELAY * (2 ** (attempt - 1)))
                 with self._lock:
                     self.stats.retries += 1
                 logger.info("retrying chat completion (attempt %d)", attempt + 1)
             with self._lock:
                 self.stats.calls += 1
             try:
-                resp = requests.post(url, json=payload, headers=headers, timeout=self.timeout)
-            except requests.RequestException as exc:
+                status, raw = _post(http_request, self.TIMEOUT)
+            except (OSError, http.client.HTTPException) as exc:
                 last_status, last_body = None, str(exc)
                 continue
-            if resp.status_code in self.RETRY_STATUSES:
-                last_status, last_body = resp.status_code, resp.text
+            text = raw.decode("utf-8", errors="replace")
+            if status in self.RETRY_STATUSES:
+                last_status, last_body = status, text
                 continue
-            if resp.status_code != 200:
-                raise BackendError(
-                    f"chat completion failed with HTTP {resp.status_code}",
-                    status=resp.status_code,
-                    body=resp.text,
-                )
+            if status != 200:
+                raise BackendError(f"chat completion failed with HTTP {status}", status, text)
             try:
-                doc = resp.json()
+                doc = json.loads(raw)
                 content = doc["choices"][0]["message"]["content"]
             except (ValueError, KeyError, IndexError, TypeError):
                 raise BackendError(
-                    "malformed chat completion response", status=200, body=resp.text
+                    "malformed chat completion response", status=200, body=text
                 ) from None
             if content is None:
-                raise BackendError("empty completion content", status=200, body=resp.text)
+                raise BackendError("empty completion content", status=200, body=text)
             usage = doc.get("usage") or {}
             with self._lock:
                 self.stats.prompt_tokens += int(usage.get("prompt_tokens", 0) or 0)
@@ -184,9 +195,7 @@ class LiveBackend:
             self._mirror(payload, content)
             return content
         raise BackendError(
-            f"chat completion failed after {self.MAX_ATTEMPTS} attempts",
-            status=last_status,
-            body=last_body,
+            f"chat completion failed after {self.MAX_ATTEMPTS} attempts", last_status, last_body
         )
 
 

@@ -200,6 +200,37 @@ _STEP_KEYS = ("observation_text", "thought", "action_index", "was_valid", "step_
         pytest.param(lambda d: d["goal"].pop("color"), id="goal_no_color"),
         pytest.param(lambda d: d["steps"].append(3), id="step_int"),
         pytest.param(lambda d: d["steps"].append("step"), id="step_str"),
+        *[
+            pytest.param(lambda d, k=k, v=v: d["steps"][0].update({k: v}), id=name)
+            for name, k, v in (
+                ("step_action_9", "action_index", 9),
+                ("step_action_negative", "action_index", -1),
+                ("step_action_bool", "action_index", True),
+                ("step_action_str", "action_index", "3"),
+                ("step_action_float", "action_index", 3.0),
+                ("step_was_valid_int", "was_valid", 1),
+                ("step_reward_bool", "step_reward", True),
+                ("step_reward_str", "step_reward", "1"),
+                ("step_observation_int", "observation_text", 3),
+                ("step_thought_null", "thought", None),
+            )
+        ],
+        *[
+            pytest.param(lambda d, k=k, v=v: d.update({k: v}), id=name)
+            for name, k, v in (
+                ("success_int", "success", 1),
+                ("reward_bool", "reward", True),
+                ("env_seed_str", "env_seed", "5"),
+                ("env_seed_float", "env_seed", 5.0),
+                ("episode_index_null", "episode_index", None),
+                ("note_int", "note", 5),
+                ("goal_int", "goal", 3),
+                ("goal_list", "goal", ["grey", "key"]),
+                ("steps_object", "steps", {}),
+            )
+        ],
+        pytest.param(lambda d: d["goal"].update(color=5), id="goal_color_int"),
+        pytest.param(lambda d: d["goal"].update(kind=None), id="goal_kind_null"),
     ],
 )
 def test_deserialize_rejects(tmp_path, capsys, edit):
@@ -213,6 +244,43 @@ def test_deserialize_rejects(tmp_path, capsys, edit):
     path.write_text(f"{_RECORD}\n{record}\n", encoding="utf-8")
     assert main(["replay", "--trajectory", str(path)]) == 1
     assert f"{path}:2: malformed trajectory record" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize(
+    "edit, detail",
+    [
+        pytest.param(
+            lambda d: d["steps"][0].update(action_index=9),
+            "steps[0].action_index must be 0..5, got 9",
+            id="action_9",
+        ),
+        pytest.param(
+            lambda d: d["steps"][0].update(was_valid=1),
+            "steps[0].was_valid must be bool, got int",
+            id="was_valid_int",
+        ),
+        pytest.param(
+            lambda d: d["steps"].append("step"), "steps[1] is not an object", id="step_str"
+        ),
+        pytest.param(
+            lambda d: d["steps"][0].pop("thought"),
+            "missing field steps[0].thought",
+            id="no_thought",
+        ),
+        pytest.param(
+            lambda d: d.update(env_seed=True),
+            "record.env_seed must be int, got bool",
+            id="env_seed_bool",
+        ),
+        pytest.param(
+            lambda d: d["goal"].update(kind=5), "goal.kind must be str, got int", id="goal_kind_int"
+        ),
+    ],
+)
+def test_deserialize_names_the_field_at_fault(edit, detail):
+    with pytest.raises(ValueError) as excinfo:
+        deserialize(_edited(edit))
+    assert str(excinfo.value) == f"malformed trajectory record: {detail}"
 
 
 def test_deserialize_rejects_bad_version():

@@ -3,8 +3,13 @@
 import hashlib
 import json
 import socket
+import subprocess
+import sys
 import threading
+import urllib.error
+import urllib.request
 from http.server import BaseHTTPRequestHandler, ThreadingHTTPServer
+from pathlib import Path
 
 import pytest
 
@@ -67,20 +72,29 @@ def stub_server():
     server.server_close()
 
 
-def _backend(url: str) -> LiveBackend:
-    return LiveBackend(
-        base_url=url, api_key="test-key", model="test-model", retry_delay=0.0, timeout=5.0
-    )
+def _live_env(monkeypatch, url: str) -> None:
+    """Point make_backend("live", ...) at url, with no rate limit."""
+    monkeypatch.setenv("LM_BASE_URL", url)
+    monkeypatch.setenv("LM_API_KEY", "test-key")
+    monkeypatch.setenv("LM_MODEL", "test-model")
+    monkeypatch.delenv("LM_RPM", raising=False)
+
+
+def _backend(monkeypatch, url: str) -> LiveBackend:
+    _live_env(monkeypatch, url)
+    monkeypatch.setattr(LiveBackend, "RETRY_DELAY", 0.0)
+    monkeypatch.setattr(LiveBackend, "TIMEOUT", 5.0)
+    return LiveBackend()
 
 
 def _request() -> LMRequest:
     return LMRequest(system_prompt="system", messages=[{"role": "user", "content": "hi"}])
 
 
-def test_live_backend_extracts_content(stub_server):
+def test_live_backend_extracts_content(stub_server, monkeypatch):
     url, handler = stub_server
     handler.plan = [(200, _completion_body("hello there"))]
-    backend = _backend(url)
+    backend = _backend(monkeypatch, url)
     assert backend.complete(_request()) == "hello there"
     assert backend.stats.calls == 1
     assert backend.stats.prompt_tokens == 12
@@ -90,58 +104,58 @@ def test_live_backend_extracts_content(stub_server):
     assert sent["messages"][0] == {"role": "system", "content": "system"}
 
 
-def test_live_backend_retries_429_then_succeeds(stub_server):
+def test_live_backend_retries_429_then_succeeds(stub_server, monkeypatch):
     url, handler = stub_server
     handler.plan = [(429, "slow down"), (200, _completion_body("ok"))]
-    backend = _backend(url)
+    backend = _backend(monkeypatch, url)
     assert backend.complete(_request()) == "ok"
     assert backend.stats.retries == 1
     assert len(handler.served) == 2
 
 
-def test_live_backend_fails_after_three_attempts(stub_server):
+def test_live_backend_fails_after_three_attempts(stub_server, monkeypatch):
     url, handler = stub_server
     handler.plan = [(500, "boom")]
-    backend = _backend(url)
+    backend = _backend(monkeypatch, url)
     with pytest.raises(BackendError) as excinfo:
         backend.complete(_request())
     assert excinfo.value.status == 500
     assert len(handler.served) == 3
 
 
-def test_live_backend_rejects_empty_content(stub_server):
+def test_live_backend_rejects_empty_content(stub_server, monkeypatch):
     url, handler = stub_server
     handler.plan = [(200, json.dumps({"choices": [{"message": {"content": None}}]}))]
     with pytest.raises(BackendError, match="empty completion"):
-        _backend(url).complete(_request())
+        _backend(monkeypatch, url).complete(_request())
 
 
-def test_live_backend_rejects_a_body_that_is_not_json(stub_server):
+def test_live_backend_rejects_a_body_that_is_not_json(stub_server, monkeypatch):
     url, handler = stub_server
     handler.plan = [(200, "<html>not json</html>")]
     with pytest.raises(BackendError, match="malformed chat completion response") as excinfo:
-        _backend(url).complete(_request())
+        _backend(monkeypatch, url).complete(_request())
     assert excinfo.value.status == 200
     assert excinfo.value.body == "<html>not json</html>"
     assert len(handler.served) == 1
 
 
-def test_live_backend_does_not_retry_a_client_error(stub_server):
+def test_live_backend_does_not_retry_a_client_error(stub_server, monkeypatch):
     url, handler = stub_server
     handler.plan = [(400, "bad request: \u00e9")]
     with pytest.raises(BackendError, match="HTTP 400") as excinfo:
-        _backend(url).complete(_request())
+        _backend(monkeypatch, url).complete(_request())
     assert excinfo.value.status == 400
     assert excinfo.value.body == "bad request: \u00e9"
     assert len(handler.served) == 1
 
 
-def test_live_backend_retries_a_truncated_reply(stub_server):
+def test_live_backend_retries_a_truncated_reply(stub_server, monkeypatch):
     """A reply cut short of its Content-Length is retried like a dropped connection."""
     url, handler = stub_server
     handler.plan = [(200, _completion_body("cut short"))]
     handler.short_by = 100
-    backend = _backend(url)
+    backend = _backend(monkeypatch, url)
     with pytest.raises(BackendError, match="after 3 attempts") as excinfo:
         backend.complete(_request())
     assert excinfo.value.status is None
@@ -149,24 +163,42 @@ def test_live_backend_retries_a_truncated_reply(stub_server):
     assert backend.stats.calls == 3 and backend.stats.retries == 2
 
 
-def test_live_backend_gives_up_on_a_closed_port():
+def test_live_backend_closes_every_response(stub_server, monkeypatch):
+    """Each response is closed before complete returns, an error status's too.
+
+    An unclosed urllib response raises no ResourceWarning, so this is checked
+    on the response objects themselves.
+    """
+    url, handler = stub_server
+    handler.plan = [(429, "slow down"), (200, _completion_body("ok"))]
+    opened = []
+    real_urlopen = urllib.request.urlopen
+
+    def recording_urlopen(*args, **kwargs):
+        try:
+            resp = real_urlopen(*args, **kwargs)
+        except urllib.error.HTTPError as exc:
+            opened.append(exc.fp)
+            raise
+        opened.append(resp)
+        return resp
+
+    monkeypatch.setattr(urllib.request, "urlopen", recording_urlopen)
+    assert _backend(monkeypatch, url).complete(_request()) == "ok"
+    assert len(opened) == 2
+    assert all(resp.closed for resp in opened)
+
+
+def test_live_backend_gives_up_on_a_closed_port(monkeypatch):
     with socket.socket() as sock:
         sock.bind(("127.0.0.1", 0))
         port = sock.getsockname()[1]
-    backend = _backend(f"http://127.0.0.1:{port}")
+    backend = _backend(monkeypatch, f"http://127.0.0.1:{port}")
     with pytest.raises(BackendError, match="after 3 attempts") as excinfo:
         backend.complete(_request())
     assert excinfo.value.status is None
     assert backend.stats.calls == LiveBackend.MAX_ATTEMPTS
     assert backend.calls == 0
-
-
-def _live_env(monkeypatch, url: str) -> None:
-    """Point make_backend("live", ...) at url, with no rate limit."""
-    monkeypatch.setenv("LM_BASE_URL", url)
-    monkeypatch.setenv("LM_API_KEY", "test-key")
-    monkeypatch.setenv("LM_MODEL", "test-model")
-    monkeypatch.delenv("LM_RPM", raising=False)
 
 
 def test_live_run_counts_strategy_calls(stub_server, monkeypatch):
@@ -255,6 +287,28 @@ def test_live_backend_requires_configuration(monkeypatch):
         monkeypatch.delenv(var, raising=False)
     with pytest.raises(BackendError, match="requires"):
         LiveBackend()
+
+
+@pytest.mark.parametrize("url", ["api.example.com/v1", "localhost:8000/v1", "ftp://127.0.0.1/v1"])
+def test_live_backend_requires_an_http_url(monkeypatch, url):
+    """A base URL urllib would refuse, or serve without HTTP, fails before any call."""
+    _live_env(monkeypatch, url)
+    with pytest.raises(BackendError, match="LM_BASE_URL must be an http"):
+        LiveBackend()
+
+
+def test_package_imports_only_the_standard_library():
+    """echogrid has no runtime dependency: importing its CLI loads no third-party module."""
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    code = (
+        f"import sys; before = set(sys.modules); sys.path.insert(0, {src!r}); import echogrid.cli; "
+        "print(sorted({m.split('.')[0] for m in set(sys.modules) - before}"
+        " - set(sys.stdlib_module_names)))"
+    )
+    out = subprocess.run(
+        [sys.executable, "-I", "-c", code], capture_output=True, text=True, check=True
+    ).stdout
+    assert out.strip() == "['echogrid']"
 
 
 def test_parse_choice_plain():
