@@ -289,6 +289,15 @@ def test_live_backend_requires_configuration(monkeypatch):
         LiveBackend()
 
 
+@pytest.mark.parametrize("rpm", ["0", "+5", "\u00b2"])
+def test_live_backend_rejects_a_bad_rate_limit(monkeypatch, rpm):
+    """LM_RPM is checked where it is read; a superscript digit passes isdigit but not int."""
+    _live_env(monkeypatch, "http://127.0.0.1:9")
+    monkeypatch.setenv("LM_RPM", rpm)
+    with pytest.raises(BackendError, match="LM_RPM must be a positive integer"):
+        LiveBackend()
+
+
 @pytest.mark.parametrize("url", ["api.example.com/v1", "localhost:8000/v1", "ftp://127.0.0.1/v1"])
 def test_live_backend_requires_an_http_url(monkeypatch, url):
     """A base URL urllib would refuse, or serve without HTTP, fails before any call."""
