@@ -83,14 +83,6 @@ class TokenBucket:
             time.sleep(wait)
 
 
-@dataclass
-class BackendStats:
-    calls: int = 0
-    retries: int = 0
-    prompt_tokens: int = 0
-    completion_tokens: int = 0
-
-
 @lru_cache(maxsize=None)
 def _rate_limiter(requests_per_minute: int) -> TokenBucket:
     """One bucket per process, so LM_RPM limits the whole run, not each env stream."""
@@ -132,8 +124,7 @@ class LiveBackend:
             raise BackendError(f"{ENV_RPM} must be a positive integer, got {rpm!r}")
         self.rate_limiter = _rate_limiter(int(rpm)) if rpm else None
         self.mirror_path = mirror_path
-        self.stats = BackendStats()
-        self.calls = 0  # completions returned; stats.calls counts HTTP attempts
+        self.calls = 0  # completions returned
         self._lock = threading.Lock()
 
     def _mirror(self, payload: dict, response_text: str) -> None:
@@ -162,11 +153,7 @@ class LiveBackend:
                 self.rate_limiter.acquire()
             if attempt:
                 time.sleep(self.RETRY_DELAY * (2 ** (attempt - 1)))
-                with self._lock:
-                    self.stats.retries += 1
                 logger.info("retrying chat completion (attempt %d)", attempt + 1)
-            with self._lock:
-                self.stats.calls += 1
             try:
                 status, raw = _post(http_request, self.TIMEOUT)
             except (OSError, http.client.HTTPException) as exc:
@@ -181,16 +168,15 @@ class LiveBackend:
             try:
                 doc = json.loads(raw)
                 content = doc["choices"][0]["message"]["content"]
-            except (ValueError, KeyError, IndexError, TypeError):
+            except (ValueError, KeyError, IndexError, TypeError, RecursionError):
                 raise BackendError(
                     "malformed chat completion response", status=200, body=text
                 ) from None
             if content is None:
                 raise BackendError("empty completion content", status=200, body=text)
-            usage = doc.get("usage") or {}
+            if not isinstance(content, str):
+                raise BackendError("malformed chat completion response", status=200, body=text)
             with self._lock:
-                self.stats.prompt_tokens += int(usage.get("prompt_tokens", 0) or 0)
-                self.stats.completion_tokens += int(usage.get("completion_tokens", 0) or 0)
                 self.calls += 1
             self._mirror(payload, content)
             return content

@@ -12,7 +12,10 @@ from http.server import BaseHTTPRequestHandler, ThreadingHTTPServer
 from pathlib import Path
 
 import pytest
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
 
+from echogrid import lm
 from echogrid.lm import (
     BackendError,
     LiveBackend,
@@ -96,9 +99,8 @@ def test_live_backend_extracts_content(stub_server, monkeypatch):
     handler.plan = [(200, _completion_body("hello there"))]
     backend = _backend(monkeypatch, url)
     assert backend.complete(_request()) == "hello there"
-    assert backend.stats.calls == 1
-    assert backend.stats.prompt_tokens == 12
-    assert backend.stats.completion_tokens == 5
+    assert len(handler.served) == 1
+    assert backend.calls == 1
     sent = handler.served[0]
     assert sent["model"] == "test-model"
     assert sent["messages"][0] == {"role": "system", "content": "system"}
@@ -109,8 +111,8 @@ def test_live_backend_retries_429_then_succeeds(stub_server, monkeypatch):
     handler.plan = [(429, "slow down"), (200, _completion_body("ok"))]
     backend = _backend(monkeypatch, url)
     assert backend.complete(_request()) == "ok"
-    assert backend.stats.retries == 1
     assert len(handler.served) == 2
+    assert backend.calls == 1
 
 
 def test_live_backend_fails_after_three_attempts(stub_server, monkeypatch):
@@ -160,7 +162,7 @@ def test_live_backend_retries_a_truncated_reply(stub_server, monkeypatch):
         backend.complete(_request())
     assert excinfo.value.status is None
     assert len(handler.served) == 3
-    assert backend.stats.calls == 3 and backend.stats.retries == 2
+    assert backend.calls == 0
 
 
 def test_live_backend_closes_every_response(stub_server, monkeypatch):
@@ -193,12 +195,88 @@ def test_live_backend_gives_up_on_a_closed_port(monkeypatch):
     with socket.socket() as sock:
         sock.bind(("127.0.0.1", 0))
         port = sock.getsockname()[1]
+    posts = []
+    real_post = lm._post
+
+    def counting_post(*args):
+        posts.append(args)
+        return real_post(*args)
+
+    monkeypatch.setattr(lm, "_post", counting_post)
     backend = _backend(monkeypatch, f"http://127.0.0.1:{port}")
     with pytest.raises(BackendError, match="after 3 attempts") as excinfo:
         backend.complete(_request())
     assert excinfo.value.status is None
-    assert backend.stats.calls == LiveBackend.MAX_ATTEMPTS
+    assert len(posts) == LiveBackend.MAX_ATTEMPTS
     assert backend.calls == 0
+
+
+_JSON = st.recursive(
+    st.none()
+    | st.booleans()
+    | st.integers()
+    | st.floats(allow_nan=False, allow_infinity=False)
+    | st.text(max_size=8),
+    lambda children: st.lists(children, max_size=3)
+    | st.dictionaries(st.text(max_size=8), children, max_size=3),
+    max_leaves=8,
+)
+_MESSAGE = _JSON | st.fixed_dictionaries({"content": _JSON})
+_CHOICES = _JSON | st.lists(_JSON | st.fixed_dictionaries({"message": _MESSAGE}), max_size=2)
+_COMPLETION = _JSON | st.fixed_dictionaries(
+    {}, optional={"choices": _CHOICES, "usage": _JSON}
+)
+
+
+@settings(
+    max_examples=150, deadline=None, suppress_health_check=[HealthCheck.function_scoped_fixture]
+)
+@given(doc=_COMPLETION)
+def test_live_backend_is_total_on_any_json_reply(stub_server, monkeypatch, doc):
+    """Any JSON document served as a 200 body yields a str or a BackendError:
+    choices, message, content and usage each of every JSON type."""
+    url, handler = stub_server
+    handler.plan = [(200, json.dumps(doc))]
+    try:
+        content = doc["choices"][0]["message"]["content"]
+    except (KeyError, IndexError, TypeError):
+        content = None
+    try:
+        reply = _backend(monkeypatch, url).complete(_request())
+    except BackendError as exc:
+        assert exc.status == 200
+        assert not isinstance(content, str)
+    else:
+        assert isinstance(content, str) and reply == content
+
+
+def test_live_backend_rejects_a_reply_nested_too_deep(stub_server, monkeypatch):
+    """A JSON document deeper than the decoder's recursion limit is malformed."""
+    url, handler = stub_server
+    handler.plan = [(200, "[" * 100_000 + "]" * 100_000)]
+    with pytest.raises(BackendError, match="malformed chat completion response"):
+        _backend(monkeypatch, url).complete(_request())
+
+
+def test_live_run_ignores_a_malformed_usage(stub_server, monkeypatch, tmp_path):
+    """usage is never read: a reply whose usage is a string runs to completion."""
+    from echogrid.cli import main
+
+    url, handler = stub_server
+    reply = {"content": '{"thought":"t","choice":0,"reflection":"r"}'}
+    handler.plan = [(200, json.dumps({"choices": [{"message": reply}], "usage": "n/a"}))]
+    _live_env(monkeypatch, url)
+    envs, out = tmp_path / "envs", tmp_path / "run"
+    assert main(["gen", "--count", "1", "--out", str(envs)]) == 0
+    code = main(
+        [
+            "run", "--envs", str(envs), "--backend", "live", "--strategy", "reflexion",
+            "--episodes", "2", "--horizon", "3", "--out", str(out),
+        ]
+    )
+    assert code == 0
+    assert len((out / "trajectories.jsonl").read_text().splitlines()) == 2
+    assert len(handler.served) == 2 * 3 + 2
 
 
 def test_live_run_counts_strategy_calls(stub_server, monkeypatch):
