@@ -11,7 +11,8 @@ sentence grammar is documented in docs/observation-format.md.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Callable, Optional
+from types import MappingProxyType
+from typing import Callable, Mapping, Optional
 
 from .world import (
     COLORS,
@@ -40,7 +41,7 @@ DOOR_TEMPLATE = "You see {article} {state} {color} door {offset}."
 CARRY_TEMPLATE = "You are carrying a {color} {kind}."
 
 
-@dataclass
+@dataclass(frozen=True)
 class VisibleEntity:
     entity: str  # "object" | "door"
     color: str
@@ -50,11 +51,11 @@ class VisibleEntity:
     lateral: int  # negative = left, positive = right
 
 
-@dataclass
+@dataclass(frozen=True)  # frozen: render hands one Observation to equal states
 class Observation:
     text: str
-    visible_entities: list[VisibleEntity]
-    menus: tuple[dict[int, str], dict[int, str]]
+    visible_entities: tuple[VisibleEntity, ...]
+    menus: tuple[Mapping[int, str], Mapping[int, str]]  # read-only (valid, invalid)
 
 
 def number_word(n: int) -> str:
@@ -137,35 +138,21 @@ def sees(
     opened: frozenset,
 ) -> bool:
     """Whether target is in the window of the pose (origin, facing) with a clear
-    line, given the open doors; memoized in world.sight."""
-    key = (origin, facing, opened, target)
-    seen = world.sight.get(key)
-    if seen is None:
-        ahead, lateral = offset_from(origin, facing, target)
-        seen = world.sight[key] = in_window(ahead, lateral) and segment_clear(
-            origin, target, sight_blocker(world, opened)
-        )
-    return seen
+    line, given the open doors."""
+    return in_window(*offset_from(origin, facing, target)) and segment_clear(
+        origin, target, sight_blocker(world, opened)
+    )
 
 
-def forward_wall_steps(world: GridWorld, opened: Optional[frozenset] = None) -> int:
-    """Free forward steps before a wall or closed door stops the agent's line.
-
-    opened, when given, must equal open_doors(world).
-    """
-    if opened is None:
-        opened = open_doors(world)
-    key = (world.agent.position, world.agent.facing, opened)
-    steps = world.sight.get(key)
-    if steps is None:
-        blocked = sight_blocker(world, opened)
-        fx, fy = FACING_VECTORS[world.agent.facing]
-        x, y = world.agent.position
-        k = 1
-        while not blocked((x + k * fx, y + k * fy)):
-            k += 1
-        steps = world.sight[key] = k - 1
-    return steps
+def forward_wall_steps(world: GridWorld) -> int:
+    """Free forward steps before a wall or closed door stops the agent's line."""
+    blocked = sight_blocker(world, open_doors(world))
+    fx, fy = FACING_VECTORS[world.agent.facing]
+    x, y = world.agent.position
+    k = 1
+    while not blocked((x + k * fx, y + k * fy)):
+        k += 1
+    return k - 1
 
 
 def offset_phrase(ahead: int, lateral: int) -> str:
@@ -181,14 +168,12 @@ def offset_phrase(ahead: int, lateral: int) -> str:
     return " and ".join(parts)
 
 
-def visible_entities(world: GridWorld, opened: Optional[frozenset] = None) -> list[VisibleEntity]:
+def visible_entities(world: GridWorld) -> tuple[VisibleEntity, ...]:
     """Entities in the unoccluded window, nearest first.
 
     Order: L1 distance, then left before right, then color name, then kind.
-    opened, when given, must equal open_doors(world).
     """
-    if opened is None:
-        opened = open_doors(world)
+    opened = open_doors(world)
     pos, facing = world.agent.position, world.agent.facing
     found = []
     for obj in world.objects:
@@ -200,7 +185,7 @@ def visible_entities(world: GridWorld, opened: Optional[frozenset] = None) -> li
             ahead, lateral = relative_offset(world, door.position)
             found.append(VisibleEntity("door", door.color, "door", door.state, ahead, lateral))
     found.sort(key=lambda e: (e.ahead + abs(e.lateral), e.lateral, e.color, e.kind))
-    return found
+    return tuple(found)
 
 
 def entity_sentence(entity: VisibleEntity) -> str:
@@ -214,19 +199,29 @@ def entity_sentence(entity: VisibleEntity) -> str:
 
 
 def render(world: GridWorld) -> Observation:
-    """Full observation: wall distance, visible entities, carried object."""
-    opened = open_doors(world)
-    entities = visible_entities(world, opened)
-    sentences = [WALL_TEMPLATE.format(distance=steps_phrase(forward_wall_steps(world, opened)))]
-    sentences.extend(entity_sentence(e) for e in entities)
-    carried = world.carried_object
-    if carried is not None:
-        sentences.append(CARRY_TEMPLATE.format(color=carried.color, kind=carried.kind))
-    return Observation(
-        text=" ".join(sentences),
-        visible_entities=entities,
-        menus=action_menus(world, opened),
-    )
+    """Full observation: wall distance, visible entities, carried object.
+
+    Memoized in world.views under every field step can change, so equal
+    states share one Observation.
+    """
+    agent = world.agent
+    positions = tuple(o.position for o in world.objects)
+    key = (agent.position, agent.facing, agent.carrying, open_doors(world), positions)
+    observation = world.views.get(key)
+    if observation is None:
+        entities = visible_entities(world)
+        sentences = [WALL_TEMPLATE.format(distance=steps_phrase(forward_wall_steps(world)))]
+        sentences.extend(entity_sentence(e) for e in entities)
+        carried = world.carried_object
+        if carried is not None:
+            sentences.append(CARRY_TEMPLATE.format(color=carried.color, kind=carried.kind))
+        valid, invalid = action_menus(world)
+        observation = world.views[key] = Observation(
+            text=" ".join(sentences),
+            visible_entities=entities,
+            menus=(MappingProxyType(valid), MappingProxyType(invalid)),
+        )
+    return observation
 
 
 def render_goal(goal: Goal) -> str:

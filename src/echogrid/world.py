@@ -9,9 +9,11 @@ makes cross-episode memory the only learnable advantage.
 The movement and sight rules (can_enter, free_floor, sight_blocker,
 action_validity) live here alone; step, the text renderer and the BFS
 planner read them.
-Wall and door cells never change after generate, and objects never block
-sight, so what a pose sees depends only on the pose and the open-door set:
-GridWorld.sight memoizes it per world.
+GridWorld.views memoizes textview.render per state. The key holds every field
+step can change: the agent's pose and carried object, the open doors and the
+object positions. Nothing else changes after generate, so the key is sound.
+The memo gains at most one entry per render call on a world and its copies:
+64 steps x 16 episodes = 1,024 per env stream at the defaults.
 
 Coordinates are (x, y) with x growing east and y growing south; north is -y.
 """
@@ -121,10 +123,9 @@ class GridWorld:
     agent: AgentPose
     seed: int
     room_layout: tuple[tuple[int, int, int, int], ...]  # interior (x0, y0, x1, y1) per room
-    # Sight memo, filled lazily by textview and shared by copy_world copies:
-    # (position, facing, open doors, target) -> target seen, and
-    # (position, facing, open doors) -> free forward steps. Never serialized.
-    sight: dict = field(default_factory=dict, compare=False, repr=False)
+    # Render memo, filled by textview.render and shared by copy_world copies:
+    # mutable state -> Observation. Never serialized.
+    views: dict = field(default_factory=dict, compare=False, repr=False)
 
     def cell(self, pos: tuple[int, int]) -> str:
         x, y = pos
@@ -324,18 +325,15 @@ def turned(facing: str, action: int) -> str:
     return (LEFT_OF if action == TURN_LEFT else RIGHT_OF)[facing]
 
 
-def action_validity(world: GridWorld, opened: Optional[frozenset] = None) -> tuple[bool, ...]:
-    """Whether each of the six actions, by index, is valid in the current state.
-
-    opened, when given, must equal open_doors(world).
-    """
+def action_validity(world: GridWorld) -> tuple[bool, ...]:
+    """Whether each of the six actions, by index, is valid in the current state."""
     ahead = facing_cell(world)
     obj_ahead = world.object_at(ahead)
     carrying = world.agent.carrying is not None
     return (
         True,
         True,
-        can_enter(world, ahead, open_doors(world) if opened is None else opened),
+        can_enter(world, ahead, open_doors(world)),
         not carrying and obj_ahead is not None,
         carrying and can_enter(world, ahead, frozenset()),  # object-free floor
         world.door_at(ahead) is not None,
@@ -368,11 +366,9 @@ def step(world: GridWorld, action: int) -> tuple[GridWorld, bool]:
     return world, True
 
 
-def action_menus(
-    world: GridWorld, opened: Optional[frozenset] = None
-) -> tuple[dict[int, str], dict[int, str]]:
+def action_menus(world: GridWorld) -> tuple[dict[int, str], dict[int, str]]:
     """Partition all six actions into (valid, invalid) maps at fixed indices."""
-    validity = action_validity(world, opened)
+    validity = action_validity(world)
     valid = {i: ACTION_NAMES[i] for i in range(6) if validity[i]}
     invalid = {i: ACTION_NAMES[i] for i in range(6) if not validity[i]}
     return valid, invalid
@@ -393,9 +389,9 @@ def canonical_json(doc) -> str:
 
 
 def to_json(world: GridWorld) -> str:
-    """One-line snapshot whose keys are the dataclass field names, sight left out."""
+    """One-line snapshot whose keys are the dataclass field names, views left out."""
     doc = {"version": SNAPSHOT_VERSION, **vars(world)}
-    del doc["sight"]
+    del doc["views"]
     return canonical_json(doc)
 
 
@@ -403,7 +399,7 @@ def copy_world(world: GridWorld) -> GridWorld:
     """Copy whose doors, objects and agent change independently of world's.
 
     The layout (cells, room_layout) never changes after generation, so the
-    copy shares it, and with it the sight memo.
+    copy shares it, and with it the render memo.
     """
     agent = world.agent
     return GridWorld(
@@ -419,7 +415,7 @@ def copy_world(world: GridWorld) -> GridWorld:
         ),
         seed=world.seed,
         room_layout=world.room_layout,
-        sight=world.sight,
+        views=world.views,
     )
 
 

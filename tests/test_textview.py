@@ -28,11 +28,14 @@ from echogrid.textview import (
 from echogrid.world import (
     DOOR,
     FLOOR,
+    TURN_LEFT,
+    TURN_RIGHT,
     WALL,
     Goal,
     action_menus,
     copy_world,
     generate,
+    open_doors,
     step,
 )
 
@@ -100,7 +103,7 @@ def test_wall_distance_zero_degenerate():
     world = world_from_ascii("###\n#@#\n###", facing="north")
     obs = render(world)
     assert obs.text == "You are zero steps from a wall."
-    assert obs.visible_entities == []
+    assert obs.visible_entities == ()
 
 
 def test_closed_door_limits_wall_distance():
@@ -276,7 +279,54 @@ def test_render_with_filled_memo_matches_fresh_world(seed, picks):
     whose memo the walk fills, renders like a copy whose memo is empty."""
     world = copy_world(generate(seed))
     for pick in [*picks, None]:
-        assert render(world) == render(replace(world, sight={}))
+        assert render(world) == render(replace(world, views={}))
         if pick is not None:
             valid = sorted(action_menus(world)[0])
             step(world, valid[pick % len(valid)])
+
+
+def test_equal_states_share_one_observation():
+    """A walk that comes back to a state gets the Observation it got there
+    before, and so does a copy standing in that state."""
+    world = generate(3)
+    first = render(world)
+    step(world, TURN_LEFT)
+    assert render(world) is not first
+    step(world, TURN_RIGHT)
+    assert render(world) is first
+    assert render(copy_world(world)) is first
+
+
+def test_observations_are_immutable():
+    world = world_from_ascii("#####\n#@.a#\n#####", facing="east", legend={"a": ("red", "ball")})
+    obs = render(world)
+    entity = obs.visible_entities[0]
+    with pytest.raises(AttributeError):
+        obs.text = "changed"
+    with pytest.raises(AttributeError):
+        entity.color = "blue"
+    for menu in obs.menus:
+        with pytest.raises(TypeError):
+            menu[0] = "fly"
+    assert obs.menus[0] == {0: "turn left", 1: "turn right", 2: "go forward"}
+
+
+@settings(max_examples=30, deadline=None)
+@given(
+    seed=st.integers(min_value=0, max_value=60),
+    picks=st.lists(st.integers(min_value=0, max_value=5), max_size=120),
+)
+def test_render_memo_holds_one_entry_per_visited_state(seed, picks):
+    world = generate(seed)
+    visited = set()
+    for pick in [*picks, None]:
+        render(world)
+        agent = world.agent
+        visited.add(
+            (agent.position, agent.facing, agent.carrying, open_doors(world),
+             tuple(o.position for o in world.objects))
+        )
+        if pick is not None:
+            valid = sorted(action_menus(world)[0])
+            step(world, valid[pick % len(valid)])
+    assert len(world.views) <= len(visited)

@@ -334,7 +334,7 @@ def test_reset_roundtrip_property(seed, actions):
     picks=st.lists(st.integers(min_value=0, max_value=5), max_size=60),
 )
 def test_stepping_a_copy_leaves_the_original(seed, picks):
-    """copy_world shares only the fixed layout and the sight memo."""
+    """copy_world shares only the fixed layout and the render memo."""
     original = generate(seed)
     before = to_json(original)
     copy = copy_world(original)
