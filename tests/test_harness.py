@@ -165,11 +165,21 @@ def test_run_stream_goal_sequences_shared_across_strategies():
 
 
 def test_run_stream_deterministic_outputs(tmp_path):
-    config = _config(strategy="echo", backend="scripted:bfs-demo", workers=2)
-    run_stream(config, out_dir=tmp_path / "a")
-    run_stream(config, out_dir=tmp_path / "b")
-    for name in ("trajectories.jsonl", "metrics.csv", "config.json"):
-        assert (tmp_path / "a" / name).read_bytes() == (tmp_path / "b" / name).read_bytes()
+    """The worker count changes no output file but config.json, memory/ included."""
+    for workers, name in ((2, "a"), (1, "b")):
+        config = _config(strategy="echo", backend="scripted:bfs-demo", workers=workers)
+        run_stream(config, out_dir=tmp_path / name)
+
+    def files(root):
+        return {
+            str(p.relative_to(root)): p.read_bytes()
+            for p in sorted(root.rglob("*"))
+            if p.is_file() and p.name != "config.json"
+        }
+
+    a, b = files(tmp_path / "a"), files(tmp_path / "b")
+    assert any(name.startswith("memory") for name in a)
+    assert a == b
 
 
 def test_run_stream_accounting(monkeypatch):
