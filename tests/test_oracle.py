@@ -234,6 +234,61 @@ def test_tours_and_plans_match_pinned_digest():
     assert hashlib.sha256(encoded).hexdigest() == PLANS_DIGEST
 
 
+# sha256 of the agent's step message at each of the 41 states of a 40-step
+# walk over valid actions on seeds 0..99, then of every distinct reply the
+# turn-left and bfs-demo backends give the agent, sorted; a line each.
+STEP_MESSAGES_DIGEST = "c3aab6c6119ea42fc13a8597f5a11f27386595e86536e8026510e3e4e76609af"
+
+
+def test_agent_step_messages_and_replies_match_pinned_digest():
+    """The bytes the agent sends at each step and the scripted replies it reads.
+
+    Messages are read back from the policy, so the pin covers the path from
+    render to the request. The bfs-demo replies cover its sighting tour and
+    a known workflow naming every action, each run one step past its end.
+    """
+    import hashlib
+
+    from echogrid.rng import SplitMix64
+    from echogrid.strategies import render_workflows
+    from echogrid.textview import canonical_goal, render
+    from echogrid.world import ACTION_NAMES, action_menus, generate
+
+    digest = hashlib.sha256()
+    replies = set()
+    for seed in range(100):
+        world = generate(seed)
+        target = world.objects[seed % len(world.objects)]
+        goal = Goal(target.color, target.kind)
+        goal_text = render_goal(goal)
+        policy = ReactPolicy(TurnLeftBackend())
+        rng = SplitMix64(seed)
+        for i in range(41):
+            policy.begin_episode(goal_text)
+            policy.decide(render(world))
+            digest.update((policy.messages[0]["content"] + "\n").encode())
+            replies.add(policy.messages[1]["content"])
+            if i < 40:
+                valid = sorted(action_menus(world)[0])
+                step(world, valid[rng.randbelow(len(valid))])
+        demo = DemoBackend(generate(seed))
+        every_action = route_text(list(range(len(ACTION_NAMES))), goal)
+        memory = render_workflows([(canonical_goal(goal_text), every_action)])
+        for memory_text, steps in (("", len(demo.tour) + 1), (memory, len(ACTION_NAMES) + 1)):
+            policy = ReactPolicy(demo, memory_text=memory_text)
+            policy.begin_episode(goal_text)
+            observation = render(demo.world)
+            for _ in range(steps):
+                policy.decide(observation)
+            replies.update(m["content"] for m in policy.messages if m["role"] == "assistant")
+    for reply in sorted(replies):
+        digest.update((reply + "\n").encode())
+    # Circling; tour moves (turns, forward, toggle) and tour complete; six
+    # workflow actions and workflow exhausted.
+    assert len(replies) == 13
+    assert digest.hexdigest() == STEP_MESSAGES_DIGEST
+
+
 def test_sighting_tour_unseeable_object_is_explicit():
     """An object no pose can see fails the tour, after the seeable ones."""
     world = world_from_ascii(
