@@ -10,6 +10,7 @@ from __future__ import annotations
 import argparse
 import json
 import sys
+from functools import cache
 from pathlib import Path
 
 from . import harness
@@ -35,7 +36,8 @@ class CliError(Exception):
     """Configuration or IO error; maps to exit code 1."""
 
 
-def _parse_args(argv):
+@cache  # built once: parse_args leaves a parser as it found it
+def _parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="echogrid",
         description="Stateful gridworld benchmark and hindsight-memory strategies.",
@@ -78,8 +80,7 @@ def _parse_args(argv):
     p_replay.add_argument("--trajectory", required=True)
     p_replay.add_argument("--step", type=int, default=None)
     p_replay.add_argument("--index", type=int, default=0, help="episode record to show")
-
-    return parser.parse_args(argv)
+    return parser
 
 
 def cmd_gen(args) -> int:
@@ -298,7 +299,7 @@ _COMMANDS = {
 
 
 def main(argv=None) -> int:
-    args = _parse_args(argv if argv is not None else sys.argv[1:])
+    args = _parser().parse_args(argv if argv is not None else sys.argv[1:])
     try:
         return _COMMANDS[args.command](args)
     except CliError as exc:

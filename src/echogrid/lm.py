@@ -185,15 +185,17 @@ class LiveBackend:
         )
 
 
+_DECODER = json.JSONDecoder()  # stateless, so shared like json.loads's own
+
+
 def _first_json_object(text: str):
     """First parseable JSON object in the text (code fences and prose tolerated)."""
     if not isinstance(text, str):
         raise ParseError("input is not text")
-    decoder = json.JSONDecoder()
     idx = text.find("{")
     while idx != -1:
         try:
-            value, _ = decoder.raw_decode(text, idx)
+            value, _ = _DECODER.raw_decode(text, idx)
         except ValueError:
             idx = text.find("{", idx + 1)
             continue

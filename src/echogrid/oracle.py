@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import json
 import re
+from functools import cache
 from typing import Callable, Optional
 
 from .lm import LMRequest
@@ -241,6 +242,7 @@ def _steps_taken(request: LMRequest) -> int:
     return sum(1 for m in request.messages if m["role"] == "assistant")
 
 
+@cache  # seven thoughts, at most six actions each
 def _choice(thought: str, action: int) -> str:
     return json.dumps({"thought": thought, "choice": action})
 

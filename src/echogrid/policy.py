@@ -34,12 +34,7 @@ class ReactPolicy:
 
     def decide(self, observation: Observation) -> tuple[str, int]:
         self.messages.append(
-            {
-                "role": "user",
-                "content": prompts.agent_step_message(
-                    self.goal_text, observation.text, observation.menus
-                ),
-            }
+            {"role": "user", "content": prompts.agent_step_message(self.goal_text, observation)}
         )
         self.calls_per_step.append(0)
         try:

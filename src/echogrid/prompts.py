@@ -7,6 +7,7 @@ configured step budget at episode start.
 """
 
 from .lm import LMRequest
+from .textview import Observation
 
 HORIZON_PLACEHOLDER = "#HORIZON#"
 
@@ -120,14 +121,5 @@ def agent_system_prompt(horizon: int, memory_text: str = "") -> str:
     return base
 
 
-def format_menus(valid: dict[int, str], invalid: dict[int, str]) -> str:
-    def fmt(menu: dict[int, str]) -> str:
-        inner = ", ".join(f'{i}: "{name}"' for i, name in sorted(menu.items()))
-        return "{" + inner + "}"
-
-    return f"valid_actions={fmt(valid)}, invalid_actions={fmt(invalid)}"
-
-
-def agent_step_message(goal_text: str, observation_text: str, menus) -> str:
-    valid, invalid = menus
-    return f"Goal: {goal_text}\n{observation_text}\n{format_menus(valid, invalid)}"
+def agent_step_message(goal_text: str, observation: Observation) -> str:
+    return f"Goal: {goal_text}\n{observation.text}\n{observation.menu_text}"

@@ -11,8 +11,7 @@ sentence grammar is documented in docs/observation-format.md.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from types import MappingProxyType
-from typing import Callable, Mapping, Optional
+from typing import Callable, Optional
 
 from .world import (
     COLORS,
@@ -55,7 +54,7 @@ class VisibleEntity:
 class Observation:
     text: str
     visible_entities: tuple[VisibleEntity, ...]
-    menus: tuple[Mapping[int, str], Mapping[int, str]]  # read-only (valid, invalid)
+    menu_text: str  # format_menus of the (valid, invalid) action menus
 
 
 def number_word(n: int) -> str:
@@ -198,8 +197,17 @@ def entity_sentence(entity: VisibleEntity) -> str:
     return OBJECT_TEMPLATE.format(color=entity.color, kind=entity.kind, offset=offset)
 
 
+def format_menus(valid: dict[int, str], invalid: dict[int, str]) -> str:
+    def fmt(menu: dict[int, str]) -> str:
+        inner = ", ".join(f'{i}: "{name}"' for i, name in sorted(menu.items()))
+        return "{" + inner + "}"
+
+    return f"valid_actions={fmt(valid)}, invalid_actions={fmt(invalid)}"
+
+
 def render(world: GridWorld) -> Observation:
-    """Full observation: wall distance, visible entities, carried object.
+    """Full observation: wall distance, visible entities, carried object,
+    and the action menu line.
 
     Memoized in world.views under every field step can change, so equal
     states share one Observation.
@@ -215,11 +223,10 @@ def render(world: GridWorld) -> Observation:
         carried = world.carried_object
         if carried is not None:
             sentences.append(CARRY_TEMPLATE.format(color=carried.color, kind=carried.kind))
-        valid, invalid = action_menus(world)
         observation = world.views[key] = Observation(
             text=" ".join(sentences),
             visible_entities=entities,
-            menus=(MappingProxyType(valid), MappingProxyType(invalid)),
+            menu_text=format_menus(*action_menus(world)),
         )
     return observation
 

@@ -163,6 +163,41 @@ def test_outputs_identical_across_processes_and_hash_seeds(tmp_path):
     assert blobs[0] == blobs[1]
 
 
+def test_calls_in_one_process_share_a_stateless_parser(tmp_path, capsys):
+    """main builds its parser once per process. A failed parse, then gens with
+    either seed option, leave nothing that a later call reads: each gen writes
+    its own seeds, and a run writes what a fresh interpreter writes."""
+    import subprocess
+    import sys
+
+    with pytest.raises(SystemExit) as exc:
+        main(["run"])
+    assert exc.value.code == 2
+    assert "--out" in capsys.readouterr().err
+    picked, counted = tmp_path / "picked", tmp_path / "counted"
+    assert main(["gen", "--seeds", "5", "7", "--out", str(picked)]) == 0
+    assert main(["gen", "--count", "1", "--out", str(counted)]) == 0
+    for out, seeds in ((picked, [5, 7]), (counted, [0])):
+        assert sorted(p.name for p in out.iterdir()) == [
+            "index.json", *(f"world_{s}.json" for s in seeds)
+        ]
+        assert json.loads((out / "index.json").read_text())["seeds"] == seeds
+    args = [
+        "run", "--envs", str(picked), "--strategy", "echo",
+        "--backend", "scripted:bfs-demo", "--episodes", "3", "--out",
+    ]
+    here, fresh = tmp_path / "here", tmp_path / "fresh"
+    assert main([*args, str(here)]) == 0
+    subprocess.run(
+        [sys.executable, "-B", "-m", "echogrid", *args, str(fresh)], check=True, capture_output=True
+    )
+    files = sorted(p.relative_to(here) for p in here.rglob("*") if p.is_file())
+    assert files == sorted(p.relative_to(fresh) for p in fresh.rglob("*") if p.is_file())
+    assert "trajectories.jsonl" in map(str, files)
+    for name in files:
+        assert (here / name).read_bytes() == (fresh / name).read_bytes(), name
+
+
 def test_run_resume_config_reproduces_bit_for_bit(tmp_path):
     envs = _gen(tmp_path)
     first = _run(tmp_path, envs, "orig", "--strategy", "echo", "--backend", "scripted:bfs-demo")

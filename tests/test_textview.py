@@ -305,10 +305,10 @@ def test_observations_are_immutable():
         obs.text = "changed"
     with pytest.raises(AttributeError):
         entity.color = "blue"
-    for menu in obs.menus:
-        with pytest.raises(TypeError):
-            menu[0] = "fly"
-    assert obs.menus[0] == {0: "turn left", 1: "turn right", 2: "go forward"}
+    assert obs.menu_text == (
+        'valid_actions={0: "turn left", 1: "turn right", 2: "go forward"}, '
+        'invalid_actions={3: "pick up", 4: "put down", 5: "toggle door"}'
+    )
 
 
 @settings(max_examples=30, deadline=None)
