@@ -393,7 +393,7 @@ def test_package_imports_only_the_standard_library():
         " - set(sys.stdlib_module_names)))"
     )
     out = subprocess.run(
-        [sys.executable, "-I", "-c", code], capture_output=True, text=True, check=True
+        [sys.executable, "-I", "-B", "-c", code], capture_output=True, text=True, check=True
     ).stdout
     assert out.strip() == "['echogrid']"
 
