@@ -234,7 +234,12 @@ def cmd_validate(args) -> int:
         config = RunConfig.from_json((run_dir / "config.json").read_text(encoding="utf-8"))
     except (OSError, ValueError) as exc:
         raise CliError(f"cannot load run config: {exc}") from None
-    pools = load_validity_pools(run_dir)
+    try:
+        pools = load_validity_pools(run_dir, config.env_seeds)
+    except OSError as exc:
+        raise CliError(f"{exc.filename}: {exc.strerror}") from None
+    except ValueError as exc:
+        raise CliError(str(exc)) from None
     if not pools:
         print("nothing to validate: the run stored no workflows", file=sys.stderr)
         return 0

@@ -13,7 +13,7 @@ from dataclasses import dataclass, field, fields
 from typing import Iterator, Protocol
 
 from .textview import Observation, render, render_goal
-from .world import ACTION_NAMES, Goal, GridWorld, canonical_json, goal_satisfied, step
+from .world import ACTION_NAMES, Goal, GridWorld, canonical_json, check_goal, goal_satisfied, step
 
 TRAJECTORY_SCHEMA_VERSION = 1
 
@@ -59,10 +59,13 @@ def run_episode(
     """Loop render -> decide -> step until the goal is held or the horizon ends.
 
     Policy failures abort the episode as a failure with a diagnostic note;
-    they never raise out of this function. The caller resets the world.
+    they never raise out of this function. A goal naming no object of the
+    world raises ValueError before the policy is asked. The caller resets
+    the world.
     """
     if horizon < 1:
         raise ValueError("horizon must be >= 1")
+    check_goal(world, goal)
     traj = Trajectory(goal=goal, env_seed=env_seed, episode_index=episode_index)
     policy.begin_episode(render_goal(goal))
     for _ in range(horizon):

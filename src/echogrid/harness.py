@@ -22,14 +22,15 @@ from .lm import BackendError, LiveBackend
 from .oracle import DemoBackend, OracleBackend, TurnLeftBackend
 from .policy import ReactPolicy
 from .rng import SplitMix64, stage_stream
-from .strategies import get_strategy, render_workflows, workflow_pairs
+from .strategies import check_snapshot, get_strategy, render_workflows, workflow_pairs
 from .textview import canonical_goal, parse_goal, render_goal
-from .world import GenConfig, Goal, GridWorld, canonical_json, generate, reset
+from .world import GenConfig, Goal, GridWorld, canonical_json, check_goal, generate, reset
 
 logger = logging.getLogger(__name__)
 
 CONFIG_VERSION = 1
 METRICS_HEADER = "env_seed,episode,goal,reward,steps,cum_avg_reward,strategy"
+MEMORY_LOG = "memory.jsonl"  # one snapshot line per episode, in trajectories.jsonl's order
 
 SCRIPTED_BACKENDS = ("scripted:turn-left", "scripted:oracle", "scripted:bfs-demo")
 MAX_DEFAULT_WORKERS = 8  # so a long seed list does not start one thread per env by default
@@ -223,17 +224,18 @@ def run_stream(config: RunConfig, out_dir: Optional[Path] = None) -> RunRecord:
 def write_run_dir(out_dir: Path, config: RunConfig, streams: list[StreamResult]) -> None:
     out_dir.mkdir(parents=True, exist_ok=True)
     (out_dir / "config.json").write_text(config.to_json() + "\n", encoding="utf-8")
-    with open(out_dir / "trajectories.jsonl", "w", encoding="utf-8") as fh:
+    with open(out_dir / "trajectories.jsonl", "w", encoding="utf-8") as traj_fh, open(
+        out_dir / MEMORY_LOG, "w", encoding="utf-8"
+    ) as memory_fh:
         for stream in streams:
-            for episode in stream.episodes:
-                fh.write(serialize(episode.trajectory) + "\n")
-    for stream in streams:
-        mem_dir = out_dir / "memory" / str(stream.env_seed)
-        mem_dir.mkdir(parents=True, exist_ok=True)
-        for index, episode in enumerate(stream.episodes):
-            (mem_dir / f"{index}.json").write_text(
-                canonical_json(episode.memory_snapshot) + "\n", encoding="utf-8"
-            )
+            for index, episode in enumerate(stream.episodes):
+                traj_fh.write(serialize(episode.trajectory) + "\n")
+                record = {
+                    "env_seed": stream.env_seed,
+                    "episode_index": index,
+                    "memory": episode.memory_snapshot,
+                }
+                memory_fh.write(canonical_json(record) + "\n")
     with open(out_dir / "metrics.csv", "w", encoding="utf-8") as fh:
         fh.write(METRICS_HEADER + "\n")
         for stream in streams:
@@ -342,10 +344,7 @@ def validity_analysis(
         reset(world)
         try:
             goal = parse_goal(goal_text)
-            if not any(
-                o.color == goal.color and o.kind == goal.kind for o in world.objects
-            ):
-                raise ValueError("goal object not present")
+            check_goal(world, goal)
         except ValueError:
             # hallucinated goal: nothing in the world can satisfy it
             failures.append(
@@ -405,20 +404,44 @@ def load_run_record(run_dir: Path) -> RunRecord:
     return RunRecord(config=config, rewards=rewards, goals=goals)
 
 
-def load_validity_pools(run_dir: Path) -> dict[int, list[tuple[str, str]]]:
-    """Final-episode (goal, workflow) pairs per env of a saved run."""
-    pools: dict[int, list[tuple[str, str]]] = {}
-    memory_root = run_dir / "memory"
-    if not memory_root.is_dir():
-        return pools
-    for env_dir in sorted(memory_root.iterdir(), key=lambda p: int(p.name)):
-        snapshots = sorted(env_dir.glob("*.json"), key=lambda p: int(p.stem))
-        if not snapshots:
-            continue
-        doc = json.loads(snapshots[-1].read_text(encoding="utf-8"))
-        pairs = workflow_pairs(doc)
+def _memory_record(line: bytes, env_seeds) -> tuple[int, dict]:
+    """(env seed, snapshot document) of one memory.jsonl line, every field checked."""
+    try:
+        doc = json.loads(line.decode("utf-8"))
+    except (ValueError, RecursionError) as exc:
+        raise ValueError(f"not valid JSON ({exc})") from None
+    if not isinstance(doc, dict):
+        raise ValueError("not a JSON object")
+    env_seed = doc.get("env_seed")
+    if type(env_seed) is not int or env_seed not in env_seeds:
+        raise ValueError(f"env_seed {env_seed!r} is not an env seed of config.json")
+    if type(doc.get("episode_index")) is not int:
+        raise ValueError(f"episode_index must be an integer, got {doc.get('episode_index')!r}")
+    check_snapshot(doc.get("memory"))
+    return env_seed, doc["memory"]
+
+
+def load_validity_pools(run_dir: Path, env_seeds) -> dict[int, list[tuple[str, str]]]:
+    """Final-episode (goal, workflow) pairs per env of a saved run.
+
+    The final episode of an env is its last line in memory.jsonl. A line that
+    is not a snapshot record of one of env_seeds raises ValueError naming the
+    file and line; a missing file raises OSError.
+    """
+    path = Path(run_dir) / MEMORY_LOG
+    last: dict[int, dict] = {}
+    with open(path, "rb") as fh:
+        for lineno, line in enumerate(fh, start=1):
+            try:
+                env_seed, snapshot = _memory_record(line, env_seeds)
+            except ValueError as exc:
+                raise ValueError(f"{path}:{lineno}: {exc}") from None
+            last[env_seed] = snapshot
+    pools = {}
+    for env_seed in sorted(last):
+        pairs = workflow_pairs(last[env_seed])
         if pairs:
-            pools[int(env_dir.name)] = pairs
+            pools[env_seed] = pairs
     return pools
 
 

@@ -228,8 +228,20 @@ def _coerce_text(value) -> str:
     raise ParseError(f"expected a string value, got {type(value).__name__}")
 
 
+# Distinct reply texts whose parse is kept. Scripted and loopback replies
+# repeat (oracle._choice has at most 22), a live model's rarely do.
+PARSE_CACHE_SIZE = 64
+
+
 def parse_choice(text: str) -> tuple[str, int]:
     """Extract ("thought", "choice") from an agent reply; choice is an action index."""
+    if not isinstance(text, str):
+        raise ParseError("input is not text")
+    return _parse_choice(text)
+
+
+@lru_cache(maxsize=PARSE_CACHE_SIZE)  # a ParseError is raised, never cached
+def _parse_choice(text: str) -> tuple[str, int]:
     obj = _first_json_object(text)
     if "thought" not in obj:
         raise ParseError("reply is missing key 'thought'", missing_key="thought")

@@ -197,6 +197,26 @@ def get_strategy(name: str) -> Strategy:
         ) from None
 
 
+def _is_text_list(value) -> bool:
+    return isinstance(value, list) and all(isinstance(v, str) for v in value)
+
+
+def check_snapshot(doc) -> None:
+    """Raise ValueError unless doc is a snapshot document memory_snapshot could write."""
+    if not isinstance(doc, dict):
+        raise ValueError("memory is not an object")
+    kind = doc.get("kind")
+    if kind not in {s.memory for s in STRATEGIES.values()}:
+        raise ValueError(f"unknown memory kind {kind!r}")
+    if kind == "semantic" and not _is_text_list(doc.get("reflections")):
+        raise ValueError("semantic reflections must be a list of strings")
+    entries = doc.get("entries")
+    if kind in ("replay_buffer", "workflow_log") and not (
+        isinstance(entries, list) and all(_is_text_list(e) and len(e) == 2 for e in entries)
+    ):
+        raise ValueError(f"{kind} entries must be [goal, workflow] pairs of strings")
+
+
 def workflow_pairs(snapshot: dict) -> list[tuple[str, str]]:
     """(goal, workflow) pairs from a memory snapshot document, if any."""
     if snapshot.get("kind") in ("replay_buffer", "workflow_log"):

@@ -374,9 +374,18 @@ def action_menus(world: GridWorld) -> tuple[dict[int, str], dict[int, str]]:
     return valid, invalid
 
 
-def goal_satisfied(world: GridWorld, goal: Goal) -> bool:
+def check_goal(world: GridWorld, goal: Goal) -> None:
+    """Raise ValueError unless some object of the world is the goal's.
+
+    Objects never leave world.objects, so this holds for a whole episode
+    once it holds at its start.
+    """
     if not any(o.color == goal.color and o.kind == goal.kind for o in world.objects):
         raise ValueError(f"goal names an absent object: {goal.color} {goal.kind}")
+
+
+def goal_satisfied(world: GridWorld, goal: Goal) -> bool:
+    """Whether the agent carries the goal's object; check_goal says it exists."""
     carried = world.carried_object
     return carried is not None and carried.color == goal.color and carried.kind == goal.kind
 

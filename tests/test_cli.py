@@ -413,6 +413,66 @@ def test_validate_empty_memory_reports_nothing(tmp_path, capsys):
     assert "nothing to validate" in capsys.readouterr().err
 
 
+def _last_line_memory(memory):
+    def edit(lines):
+        doc = json.loads(lines[-1])
+        doc["memory"] = memory
+        lines[-1] = json.dumps(doc)
+
+    return edit
+
+
+@pytest.mark.parametrize(
+    "edit, where",
+    [
+        pytest.param(lambda lines: lines.__setitem__(-1, lines[-1][:40]), ":12: ", id="truncated"),
+        pytest.param(lambda lines: lines.append("garbage"), ":13: ", id="garbage"),
+        pytest.param(lambda lines: lines.append("[1, 2]"), ":13: ", id="not_an_object"),
+        pytest.param(
+            lambda lines: lines.append(
+                '{"env_seed": 7, "episode_index": 0, "memory": {"kind": "none"}}'
+            ),
+            ":13: ",
+            id="unknown_env_seed",
+        ),
+        pytest.param(
+            lambda lines: lines.insert(
+                0, '{"env_seed": 0, "episode_index": "0", "memory": {"kind": "none"}}'
+            ),
+            ":1: ",
+            id="str_episode_index",
+        ),
+        pytest.param(
+            _last_line_memory({"kind": "replay_buffer", "entries": [["Pick up the red key"]]}),
+            ":12: ",
+            id="one_element_entry",
+        ),
+        pytest.param(_last_line_memory({"kind": "notes"}), ":12: ", id="unknown_kind"),
+        pytest.param(_last_line_memory([]), ":12: ", id="memory_not_an_object"),
+        pytest.param(None, ": No such file", id="missing"),
+    ],
+)
+def test_validate_rejects_a_bad_memory_log(tmp_path, capsys, edit, where):
+    """validate exits 1 naming memory.jsonl and the line at fault, never with a traceback."""
+    envs = _gen(tmp_path)
+    run = _run(tmp_path, envs, "echo", "--strategy", "echo", "--backend", "scripted:bfs-demo")
+    log = run / "memory.jsonl"
+    if edit is None:
+        log.unlink()
+        (run / "memory" / "0").mkdir(parents=True)
+        (run / "memory" / "0" / "0.json").write_text('{"kind":"none"}\n')
+    else:
+        lines = log.read_text().splitlines()
+        assert len(lines) == 12
+        edit(lines)
+        log.write_text("\n".join(lines) + "\n")
+    capsys.readouterr()
+    assert main(["validate", "--run", str(run)]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith(f"error: {log}{where}")
+    assert "Traceback" not in err
+
+
 def test_validate_samples_zero_usage_error(tmp_path, capsys):
     envs = _gen(tmp_path)
     run = _run(tmp_path, envs, "react")

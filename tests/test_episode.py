@@ -17,7 +17,7 @@ from echogrid.episode import (
 from echogrid.oracle import OracleBackend, bfs_plan
 from echogrid.policy import ReactPolicy
 from echogrid.rng import SplitMix64
-from echogrid.world import Goal, copy_world, reset
+from echogrid.world import COLORS, KINDS, Goal, copy_world, reset
 
 
 class TurnLeftPolicy:
@@ -83,6 +83,26 @@ def test_policy_failure_aborts_episode_as_failure(world7):
 def test_horizon_validation(world7):
     with pytest.raises(ValueError):
         run_episode(copy_world(world7), _goal(world7), TurnLeftPolicy(), horizon=0)
+
+
+def test_absent_goal_raises_before_the_policy_is_asked(world7):
+    asked = []
+
+    class RecordingPolicy:
+        def begin_episode(self, goal_text):
+            asked.append(goal_text)
+
+        def decide(self, observation):
+            asked.append(observation)
+            return "spinning", 0
+
+    present = {(o.color, o.kind) for o in world7.objects}
+    absent = next(
+        Goal(color, kind) for kind in KINDS for color in COLORS if (color, kind) not in present
+    )
+    with pytest.raises(ValueError, match="goal names an absent object"):
+        run_episode(reset(copy_world(world7)), absent, RecordingPolicy())
+    assert asked == []
 
 
 def test_oracle_trajectory_deterministic(world7):

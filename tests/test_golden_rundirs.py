@@ -3,15 +3,21 @@
 Each digest is the sha256 over every file of one run dir (relative path and
 contents, in sorted path order). A change that alters any byte of a
 scripted run must say so and update the pinned value here.
+
+PER_EPISODE_FILES pins the same runs in the layout that stored each memory
+snapshot as memory/<env_seed>/<episode_index>.json, rebuilt from memory.jsonl:
+the one-file memory log changed where the snapshots go, not their bytes.
 """
 
 import hashlib
+import json
 
 import pytest
 
 from echogrid.harness import RunConfig, run_stream
+from echogrid.world import canonical_json
 
-GOLDEN = {
+PER_EPISODE_FILES = {
     ("react", "scripted:turn-left"): "0946ca6928828a50ab3921f2bcd946512f4d903b94fa3581d120aa99ffdec445",
     ("reflexion", "scripted:turn-left"): "aa5c2760f38141deaf2234ded26d802aaa28e1f84c97f7ec4d1df83e4db48681",
     ("awm", "scripted:turn-left"): "fae25487a654785ce90e915f6df7016f2d479df843595ea73a9445599acdc850",
@@ -30,6 +36,25 @@ GOLDEN = {
 }
 
 
+GOLDEN = {
+    ("react", "scripted:turn-left"): "1bb5e734ec7db8dffabe535c09d1ac5f2b61e6ef1cd44bfb48b7b8c58159c434",
+    ("reflexion", "scripted:turn-left"): "9a41917426d80d392252cbc433eb14ba3207fa20aa56def1ea1b6febc675c1c4",
+    ("awm", "scripted:turn-left"): "1b60d624d5ca7d082b23a3d724b4ce2c0fe42d9d4816815069e92b458e8dae57",
+    ("awmpp", "scripted:turn-left"): "db8899a5a69a25b93cdacc6a3c1e1ae9195e517ef6aeb99521e6462caf6837f3",
+    ("echo", "scripted:turn-left"): "89b82296a86c61218f63866a0428aecec0ceac5572d431c95b87f23cdab9c406",
+    ("react", "scripted:oracle"): "44db407d04b91901f9f0e4386ac9dbcd96707eabdc93bd6fcc20d2eba80163e7",
+    ("reflexion", "scripted:oracle"): "dc4239014106eaef34d4b1adf03b7a2517a1b136002457534c5dc165b76a2bc4",
+    ("awm", "scripted:oracle"): "60ff0a2ce22ea4b916e95270df90d9c375b23291d1473da5d363f541d2d96288",
+    ("awmpp", "scripted:oracle"): "46eb7041aaa5916c7aefc37803b258387bdef56440417afeea4fe253a720c7df",
+    ("echo", "scripted:oracle"): "320ab1f2b30ebd142a5dc0b80bf18fbf009b2dd5ef756737cab83971ff8173e7",
+    ("react", "scripted:bfs-demo"): "43f1fc7e0d8a34fba4c22f8e5490cc5f1f2cc922ca6aa21e4e8cc42fae7b516d",
+    ("reflexion", "scripted:bfs-demo"): "fc0e51e73420ae343e529106a4978da22f16f11b311feebec1f5c5314e29b7d3",
+    ("awm", "scripted:bfs-demo"): "c69eaa2a612a0f736b28f5ee56300e901956b983c3c48457f0703c70aac524f0",
+    ("awmpp", "scripted:bfs-demo"): "9d1aabcae30d4968eed42a9cbc5ef1c4cdd2b2b9ed1c8e287a281cfb17304f47",
+    ("echo", "scripted:bfs-demo"): "dd600bed8c7ebd7579e87274c162d9c688c68bd288081455a686cd84052ca1a4",
+}
+
+
 def run_dir_digest(root) -> str:
     digest = hashlib.sha256()
     for path in sorted(p for p in root.rglob("*") if p.is_file()):
@@ -38,10 +63,35 @@ def run_dir_digest(root) -> str:
     return digest.hexdigest()
 
 
-@pytest.mark.parametrize("strategy,backend", sorted(GOLDEN))
-def test_scripted_run_dir_digest(tmp_path, strategy, backend):
+def _run(root, strategy, backend) -> None:
     config = RunConfig(
         env_seeds=(0, 1, 2), episodes_per_env=6, strategy=strategy, backend=backend, workers=1
     )
-    run_stream(config, out_dir=tmp_path)
+    run_stream(config, out_dir=root)
+
+
+def per_episode_files(root) -> None:
+    """Replace root/memory.jsonl by one file per snapshot, as runs once stored them."""
+    log = root / "memory.jsonl"
+    for line in log.read_text(encoding="utf-8").splitlines():
+        doc = json.loads(line)
+        path = root / "memory" / str(doc["env_seed"]) / f"{doc['episode_index']}.json"
+        path.parent.mkdir(parents=True, exist_ok=True)
+        path.write_text(canonical_json(doc["memory"]) + "\n", encoding="utf-8")
+    log.unlink()
+
+
+@pytest.mark.parametrize("strategy,backend", sorted(GOLDEN))
+def test_scripted_run_dir_digest(tmp_path, strategy, backend):
+    _run(tmp_path, strategy, backend)
+    assert sorted(p.name for p in tmp_path.iterdir()) == [
+        "config.json", "memory.jsonl", "metrics.csv", "trajectories.jsonl",
+    ]
     assert run_dir_digest(tmp_path) == GOLDEN[(strategy, backend)]
+
+
+@pytest.mark.parametrize("strategy,backend", sorted(PER_EPISODE_FILES))
+def test_memory_log_holds_the_per_episode_files(tmp_path, strategy, backend):
+    _run(tmp_path, strategy, backend)
+    per_episode_files(tmp_path)
+    assert run_dir_digest(tmp_path) == PER_EPISODE_FILES[(strategy, backend)]

@@ -131,10 +131,12 @@ def test_run_stream_react_keeps_memory_empty(tmp_path):
     out = tmp_path / "run"
     record = run_stream(_config(), out_dir=out)
     assert all(r == [0, 0, 0, 0] for r in record.rewards.values())
-    for env_seed in (0, 1):
-        for episode in range(4):
-            doc = json.loads((out / "memory" / str(env_seed) / f"{episode}.json").read_text())
-            assert doc == {"kind": "none"}
+    lines = (out / "memory.jsonl").read_text().splitlines()
+    assert [json.loads(line) for line in lines] == [
+        {"env_seed": env_seed, "episode_index": episode, "memory": {"kind": "none"}}
+        for env_seed in (0, 1)
+        for episode in range(4)
+    ]
 
 
 def test_run_stream_oracle_backend_all_rewards_one():
@@ -165,7 +167,7 @@ def test_run_stream_goal_sequences_shared_across_strategies():
 
 
 def test_run_stream_deterministic_outputs(tmp_path):
-    """The worker count changes no output file but config.json, memory/ included."""
+    """The worker count changes no output file but config.json, memory.jsonl included."""
     for workers, name in ((2, "a"), (1, "b")):
         config = _config(strategy="echo", backend="scripted:bfs-demo", workers=workers)
         run_stream(config, out_dir=tmp_path / name)
@@ -291,7 +293,7 @@ def test_validity_analysis_bfs_backed_is_perfect(tmp_path):
         env_seeds=(0, 1, 2), episodes_per_env=3, strategy="echo", backend="scripted:bfs-demo"
     )
     run_stream(config, out_dir=tmp_path / "run")
-    pools = load_validity_pools(tmp_path / "run")
+    pools = load_validity_pools(tmp_path / "run", config.env_seeds)
     assert pools, "echo stored workflows"
     worlds = {seed: generate(seed) for seed in (0, 1, 2)}
     report = validity_analysis(pools, worlds, "scripted:bfs-demo", n_samples=40)
@@ -310,7 +312,7 @@ def test_validity_analysis_builds_one_backend_per_env(tmp_path, monkeypatch):
         env_seeds=(0, 1, 2), episodes_per_env=3, strategy="echo", backend="scripted:bfs-demo"
     )
     run_stream(config, out_dir=tmp_path / "run")
-    pools = load_validity_pools(tmp_path / "run")
+    pools = load_validity_pools(tmp_path / "run", config.env_seeds)
     worlds = {seed: generate(seed) for seed in (0, 1, 2)}
     # Add a pair that deviates (a valid route that stops short) and, for env 1,
     # a hallucinated goal, so the report holds both failure classes.
@@ -357,7 +359,7 @@ def test_validity_analysis_sampling_is_deterministic(tmp_path):
         env_seeds=(0, 1, 2), episodes_per_env=2, strategy="echo", backend="scripted:bfs-demo"
     )
     run_stream(config, out_dir=tmp_path / "run")
-    pools = load_validity_pools(tmp_path / "run")
+    pools = load_validity_pools(tmp_path / "run", config.env_seeds)
     worlds = {seed: generate(seed) for seed in (0, 1, 2)}
     first = validity_analysis(pools, worlds, "scripted:bfs-demo", n_samples=5, sample_seed=3)
     second = validity_analysis(pools, worlds, "scripted:bfs-demo", n_samples=5, sample_seed=3)

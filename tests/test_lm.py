@@ -318,7 +318,7 @@ def test_live_run_sends_fixed_sampling_settings(stub_server, monkeypatch):
 # dir (relative path and bytes of each file, sorted by path).
 _LIVE_BODIES_SHA256 = "4919af3dc59f4fab72f80a2bc01bce7beaf3e3eb8c729dcee7cd9b45c459f732"
 _LIVE_MIRROR_SHA256 = "8f378e4ec5dfe94373ce011a66c855847ddb6f5f131685b01b730525e4f7448b"
-_LIVE_RUN_DIR_SHA256 = "044c66958a5f76e04180f8ad6f06079bdd3d544c94bc71be1608e1ac07ba46a2"
+_LIVE_RUN_DIR_SHA256 = "76007ef9ac40b000592012160d4732118a484433a41f14a51290377c57ed7e9c"
 
 
 def test_live_wire_format_matches_pinned_digest(stub_server, monkeypatch, tmp_path):
@@ -425,6 +425,21 @@ def test_parse_choice_rejects_out_of_range():
         with pytest.raises(ParseError, match="action index"):
             parse_choice('{"thought": "hm", "choice": %s}' % choice)
     assert parse_choice('{"thought": "hm", "choice": 5}') == ("hm", 5)
+
+
+def test_parse_choice_caches_parsed_replies_only():
+    """Each distinct reply text is parsed once; a reply that is not text, or
+    does not parse, raises ParseError and leaves nothing in the cache."""
+    lm._parse_choice.cache_clear()
+    for reply in ([1], {"thought": "t"}, None, 5, b'{"thought": "t", "choice": 1}', "{"):
+        with pytest.raises(ParseError):
+            parse_choice(reply)
+    assert lm._parse_choice.cache_info().currsize == 0
+    reply = '{"thought": "Circling in place.", "choice": 0}'
+    assert parse_choice(reply) is parse_choice(reply)
+    info = lm._parse_choice.cache_info()
+    assert (info.hits, info.currsize) == (1, 1)
+    assert info.maxsize == lm.PARSE_CACHE_SIZE >= 22, "holds every scripted agent reply"
 
 
 def test_parse_payload_awm_failure_golden():
