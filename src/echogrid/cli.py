@@ -15,7 +15,7 @@ from pathlib import Path
 
 from . import harness
 from .episode import read_trajectories
-from .harness import RunConfig, is_seed_list, load_run_record, load_validity_pools
+from .harness import SEED_LIST, RunConfig, is_seed_list, load_run_record, load_validity_pools
 from .lm import BackendError, LiveBackend
 from .strategies import STRATEGIES
 from .textview import render_goal
@@ -90,6 +90,8 @@ def cmd_gen(args) -> int:
         seeds = list(range(args.base_seed, args.base_seed + args.count))
     elif args.seeds:
         seeds = list(args.seeds)
+        if not is_seed_list(seeds):
+            raise CliError(f"--seeds needs {SEED_LIST}")
     else:
         raise CliError("provide --seeds or --count")
     out = Path(args.out)
@@ -122,7 +124,7 @@ def _read_index(envs_dir: str) -> dict:
         raise CliError(f"{index_path} is not valid JSON: {exc}") from None
     seeds = index.get("seeds") if isinstance(index, dict) else None
     if not is_seed_list(seeds):
-        raise CliError(f"{index_path} needs \"seeds\": a non-empty list of integers")
+        raise CliError(f"{index_path} needs \"seeds\": {SEED_LIST}")
     return index
 
 

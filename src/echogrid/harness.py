@@ -75,14 +75,23 @@ class RunConfig:
         return cls(**doc)
 
 
+SEED_LIST = "a non-empty list of distinct integers"
+
+
 def is_seed_list(value) -> bool:
-    """Env seeds as stored in JSON: a non-empty list of integers (not bools)."""
-    return isinstance(value, list) and bool(value) and all(type(v) is int for v in value)
+    """Env seeds as stored in JSON: a non-empty list of distinct integers (not
+    bools). A repeated seed would run its stream twice under one key."""
+    return (
+        isinstance(value, list)
+        and bool(value)
+        and all(type(v) is int for v in value)
+        and len(set(value)) == len(value)
+    )
 
 
 # RunConfig field annotation -> (check of its JSON value, what the check wants).
 _JSON_TYPES = {
-    "tuple[int, ...]": (is_seed_list, "a non-empty list of integers"),
+    "tuple[int, ...]": (is_seed_list, SEED_LIST),
     "int": (lambda v: type(v) is int, "an integer"),
     "Optional[int]": (lambda v: v is None or type(v) is int, "an integer or null"),
     "str": (lambda v: type(v) is str, "a string"),
@@ -379,7 +388,12 @@ def validity_analysis(
 
 
 def load_run_record(run_dir: Path) -> RunRecord:
-    """Rebuild a RunRecord from a persisted run directory."""
+    """Rebuild a RunRecord from a persisted run directory.
+
+    Raises ValueError unless metrics.csv holds, for each env seed of
+    config.json, the rows of episodes 0..n-1 in order, n the config's
+    episodes per env.
+    """
     run_dir = Path(run_dir)
     config = RunConfig.from_json((run_dir / "config.json").read_text(encoding="utf-8"))
     rewards: dict[int, list[int]] = {seed: [] for seed in config.env_seeds}
@@ -394,13 +408,26 @@ def load_run_record(run_dir: Path) -> RunRecord:
                 raise ValueError(
                     f"{run_dir}/metrics.csv line {lineno}: expected 7 fields, got {len(row)}"
                 )
-            env_seed, _episode, goal, reward, _steps, _cum, _strategy = row
+            env_seed, episode, goal, reward, _steps, _cum, _strategy = row
             if int(env_seed) not in rewards:
                 raise ValueError(
                     f"{run_dir}/metrics.csv: env seed {env_seed} is not in config.json"
                 )
+            done = len(rewards[int(env_seed)])
+            if int(episode) != done or done == config.episodes_per_env:
+                raise ValueError(
+                    f"{run_dir}/metrics.csv line {lineno}: env seed {env_seed} episode "
+                    f"{episode} is out of order; episodes run 0..{config.episodes_per_env - 1} "
+                    "once each"
+                )
             rewards[int(env_seed)].append(int(reward))
             goals[int(env_seed)].append(goal)
+    for env_seed, series in rewards.items():
+        if len(series) != config.episodes_per_env:
+            raise ValueError(
+                f"{run_dir}/metrics.csv: env seed {env_seed} has {len(series)} of "
+                f"{config.episodes_per_env} episodes"
+            )
     return RunRecord(config=config, rewards=rewards, goals=goals)
 
 

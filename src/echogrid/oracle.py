@@ -1,10 +1,11 @@
 """Ground-truth planning and scripted backends for fully offline testing.
 
-bfs_plan searches the exact (position, facing, door-states) space, so its
-plans are shortest by construction. The scripted backends emit replies in
-the same output formats the live model is prompted for; every scripted
-reply must parse through the lm module's parsers, which keeps the formats
-honest. No test in this package ever needs a network.
+The planner searches the exact (position, facing, door-states) space, so its
+plans are shortest by construction, and one search plans every object. The
+scripted backends emit replies in the same output formats the live model is
+prompted for; every scripted reply must parse through the lm module's
+parsers, which keeps the formats honest. No test in this package ever needs
+a network.
 """
 
 from __future__ import annotations
@@ -16,7 +17,7 @@ from typing import Callable, Optional
 
 from .lm import LMRequest
 from .prompts import classify_request
-from .textview import canonical_goal, parse_goal, render_goal, sees
+from .textview import canonical_goal, parse_goal, sees
 from .world import (
     ACTION_NAMES,
     FACING_VECTORS,
@@ -30,6 +31,7 @@ from .world import (
     TURN_RIGHT,
     Goal,
     GridWorld,
+    check_goal,
     copy_world,
     free_floor,
     open_doors,
@@ -46,28 +48,26 @@ class ScriptExhaustedError(Exception):
     """A scripted backend ran out of canned responses."""
 
 
-def _search(
-    world: GridWorld,
-    goal_rank: Callable[[tuple[int, int], str, frozenset], Optional[int]],
-) -> tuple[int, list[int]]:
-    """Level-order breadth-first search over (position, facing, open doors) states.
+def _level_order(world: GridWorld, parent: dict):
+    """Yield (depth, state) for every (position, facing, open doors) state
+    reachable from the world's, each once, in search order: level by level,
+    and within a level in order of discovery.
 
-    goal_rank ranks a goal state (0 is best) or returns None for any other
-    state. Returns the lowest rank reached at the shallowest goal depth and
-    the actions to the first state reaching it in search order. Objects are
-    static during a search, so the enterable cells are the object-free floor
-    plus the doors in a state's open set.
+    Fills parent with state -> (previous state, action), None for the start,
+    before a state is yielded. The successors of a state are, in order: turn
+    left, turn right, go forward if the cell ahead can be entered, toggle if
+    it is a door. Objects are static during a search, so the enterable cells
+    are the object-free floor plus the doors in a state's open set.
     """
     doors = {d.position for d in world.doors}
     floor = free_floor(world)
     start = (world.agent.position, world.agent.facing, open_doors(world))
-    rank = goal_rank(*start)
-    if rank is not None:
-        return rank, []
-    parent: dict = {start: None}  # state -> (previous state, action)
+    parent[start] = None
+    yield 0, start
     level = [start]
+    depth = 0
     while level:
-        best = best_state = None
+        depth += 1
         frontier = []
         for state in level:
             pos, facing, opened = state
@@ -82,19 +82,36 @@ def _search(
             if ahead in doors:
                 successors.append((TOGGLE_DOOR, (pos, facing, opened ^ {ahead})))
             for action, succ in successors:
-                if succ in parent:
-                    continue
-                parent[succ] = (state, action)
-                rank = goal_rank(*succ)
-                if rank is not None and (best is None or rank < best):
-                    if rank == 0:  # nothing ranks lower: stop here
-                        return 0, _path_to(parent, succ)
-                    best, best_state = rank, succ
-                frontier.append(succ)
-        if best is not None:
-            return best, _path_to(parent, best_state)
+                if succ not in parent:
+                    parent[succ] = (state, action)
+                    frontier.append(succ)
+                    yield depth, succ
         level = frontier
-    raise PlanningError("goal state is unreachable")
+
+
+def _search(
+    world: GridWorld,
+    goal_rank: Callable[[tuple[int, int], str, frozenset], Optional[int]],
+) -> tuple[int, list[int]]:
+    """Breadth-first search for the best-ranked goal state at the shallowest depth.
+
+    goal_rank ranks a goal state (0 is best) or returns None for any other
+    state. Returns the lowest rank reached at the shallowest goal depth and
+    the actions to the first state reaching it in search order.
+    """
+    parent: dict = {}
+    best = best_state = best_depth = None
+    for depth, state in _level_order(world, parent):
+        if best is not None and depth > best_depth:
+            break
+        rank = goal_rank(*state)
+        if rank is not None and (best is None or rank < best):
+            best, best_state, best_depth = rank, state, depth
+            if rank == 0:  # nothing ranks lower: stop here
+                break
+    if best is None:
+        raise PlanningError("goal state is unreachable")
+    return best, _path_to(parent, best_state)
 
 
 def _path_to(parent: dict, state) -> list[int]:
@@ -106,28 +123,50 @@ def _path_to(parent: dict, state) -> list[int]:
     return path
 
 
-def bfs_plan(world: GridWorld, goal: Goal) -> list[int]:
-    """Shortest action sequence ending with a successful pick up of the goal."""
-    target = None
-    for obj in world.objects:
-        if obj.color == goal.color and obj.kind == goal.kind:
-            target = obj.position
-            break
-    if target is None:
-        raise ValueError(f"goal names an absent object: {goal.color} {goal.kind}")
+def plan_table(world: GridWorld) -> dict[Goal, Optional[list[int]]]:
+    """Shortest plan per goal of the world's objects, from one search.
 
-    def facing_target(pos, facing, opened):
+    An object's plan is the actions to the first state in search order at
+    the shallowest depth that faces it, then pick up: the plan a search for
+    that object alone returns. The search stops once every object is faced.
+    A goal whose object no state faces (one being carried, or walled off)
+    maps to None; of two objects of one goal, the first in world.objects
+    counts.
+    """
+    targets = {o.position: i for i, o in enumerate(world.objects) if o.position is not None}
+    faced: dict[int, tuple] = {}
+    parent: dict = {}
+    for _, state in _level_order(world, parent):
+        (x, y), facing, _ = state
         fx, fy = FACING_VECTORS[facing]
-        return 0 if (pos[0] + fx, pos[1] + fy) == target else None
+        index = targets.get((x + fx, y + fy))
+        if index is not None and index not in faced:
+            faced[index] = state
+            if len(faced) == len(targets):
+                break
+    table: dict[Goal, Optional[list[int]]] = {}
+    for i, obj in enumerate(world.objects):
+        plan = _path_to(parent, faced[i]) + [PICK_UP] if i in faced else None
+        table.setdefault(Goal(obj.color, obj.kind), plan)
+    return table
 
-    try:
-        _, path = _search(world, facing_target)
-    except PlanningError:
+
+def _table_plan(world: GridWorld, table: dict, goal: Goal) -> list[int]:
+    """The goal's plan in table; ValueError if no object is the goal's,
+    PlanningError if the search faced none."""
+    plan = table.get(goal)
+    if plan is None:
+        check_goal(world, goal)
         raise PlanningError(
             f"no route reaches the {goal.color} {goal.kind}; "
             "generated worlds must never produce this"
-        ) from None
-    return path + [PICK_UP]
+        )
+    return plan
+
+
+def bfs_plan(world: GridWorld, goal: Goal) -> list[int]:
+    """Shortest action sequence ending with a successful pick up of the goal."""
+    return _table_plan(world, plan_table(world), goal)
 
 
 def sighting_tour(world: GridWorld) -> list[int]:
@@ -326,13 +365,13 @@ class OracleBackend(_RuleBackend):
     def __init__(self, world: GridWorld):
         super().__init__()
         self.world = reset(copy_world(world))
-        self._plans: dict[str, list[int]] = {}
+        self._plans: Optional[dict[Goal, Optional[list[int]]]] = None
 
     def plan_for(self, goal: Goal) -> list[int]:
-        key = canonical_goal(render_goal(goal))
-        if key not in self._plans:
-            self._plans[key] = bfs_plan(self.world, goal)
-        return self._plans[key]
+        """The goal's plan from the reset world; the first call plans every object."""
+        if self._plans is None:
+            self._plans = plan_table(self.world)
+        return _table_plan(self.world, self._plans, goal)
 
     def _on_agent(self, request: LMRequest) -> str:
         goal = parse_goal(_goal_line(_last_user_content(request)))

@@ -11,6 +11,7 @@ sentence grammar is documented in docs/observation-format.md.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cache
 from typing import Callable, Optional
 
 from .world import (
@@ -20,8 +21,9 @@ from .world import (
     RIGHT_VECTORS,
     Goal,
     GridWorld,
-    action_menus,
+    action_validity,
     open_doors,
+    partition_actions,
     sight_blocker,
 )
 
@@ -54,7 +56,7 @@ class VisibleEntity:
 class Observation:
     text: str
     visible_entities: tuple[VisibleEntity, ...]
-    menu_text: str  # format_menus of the (valid, invalid) action menus
+    menu_text: str  # menu_line of the state's action validity flags
 
 
 def number_word(n: int) -> str:
@@ -205,6 +207,12 @@ def format_menus(valid: dict[int, str], invalid: dict[int, str]) -> str:
     return f"valid_actions={fmt(valid)}, invalid_actions={fmt(invalid)}"
 
 
+@cache  # both turns are always valid, so at most 16 flag sets occur
+def menu_line(validity: tuple[bool, ...]) -> str:
+    """The action menu line of a state with these six validity flags."""
+    return format_menus(*partition_actions(validity))
+
+
 def render(world: GridWorld) -> Observation:
     """Full observation: wall distance, visible entities, carried object,
     and the action menu line.
@@ -226,7 +234,7 @@ def render(world: GridWorld) -> Observation:
         observation = world.views[key] = Observation(
             text=" ".join(sentences),
             visible_entities=entities,
-            menu_text=format_menus(*action_menus(world)),
+            menu_text=menu_line(action_validity(world)),
         )
     return observation
 

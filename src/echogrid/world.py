@@ -366,12 +366,17 @@ def step(world: GridWorld, action: int) -> tuple[GridWorld, bool]:
     return world, True
 
 
-def action_menus(world: GridWorld) -> tuple[dict[int, str], dict[int, str]]:
-    """Partition all six actions into (valid, invalid) maps at fixed indices."""
-    validity = action_validity(world)
+def partition_actions(validity: tuple[bool, ...]) -> tuple[dict[int, str], dict[int, str]]:
+    """Split all six actions into (valid, invalid) maps at fixed indices, by
+    their validity flags."""
     valid = {i: ACTION_NAMES[i] for i in range(6) if validity[i]}
     invalid = {i: ACTION_NAMES[i] for i in range(6) if not validity[i]}
     return valid, invalid
+
+
+def action_menus(world: GridWorld) -> tuple[dict[int, str], dict[int, str]]:
+    """The (valid, invalid) action maps of the current state."""
+    return partition_actions(action_validity(world))
 
 
 def check_goal(world: GridWorld, goal: Goal) -> None:
@@ -390,11 +395,18 @@ def goal_satisfied(world: GridWorld, goal: Goal) -> bool:
     return carried is not None and carried.color == goal.color and carried.kind == goal.kind
 
 
+# Every document canonical_json writes is a tree the program builds, so the
+# encoder skips the cycle check.
+_canonical_encode = json.JSONEncoder(
+    sort_keys=True, separators=(",", ":"), default=vars, check_circular=False
+).encode
+
+
 def canonical_json(doc) -> str:
     """Canonical JSON: sorted keys, compact separators, each dataclass as its
     fields. World snapshots, index.json, trajectories, run configs and memory
     snapshots are all written through it."""
-    return json.dumps(doc, sort_keys=True, separators=(",", ":"), default=vars)
+    return _canonical_encode(doc)
 
 
 def to_json(world: GridWorld) -> str:

@@ -65,6 +65,14 @@ def test_gen_count_zero_usage_error(tmp_path, capsys):
     assert "error" in capsys.readouterr().err
 
 
+def test_gen_rejects_a_repeated_seed(tmp_path, capsys):
+    """A repeated seed would run its env stream twice under one key."""
+    out = tmp_path / "twice"
+    assert main(["gen", "--seeds", "5", "5", "--out", str(out)]) == 1
+    assert "distinct" in capsys.readouterr().err
+    assert not out.exists()
+
+
 def test_gen_verbose_prints_maps_to_stderr(tmp_path, capsys):
     main(["gen", "--count", "1", "--out", str(tmp_path / "v"), "--verbose"])
     err = capsys.readouterr().err
@@ -268,6 +276,19 @@ def test_run_rejects_malformed_index(tmp_path, capsys, index):
     assert not out.exists()
 
 
+def test_run_rejects_an_index_repeating_a_seed(tmp_path, capsys):
+    envs = _gen(tmp_path)
+    doc = json.loads((envs / "index.json").read_text())
+    doc["seeds"] = [0, 1, 0]
+    (envs / "index.json").write_text(json.dumps(doc))
+    out = tmp_path / "r"
+    assert main(["run", "--envs", str(envs), "--out", str(out)]) == 1
+    assert "index.json needs \"seeds\": a non-empty list of distinct integers" in (
+        capsys.readouterr().err
+    )
+    assert not out.exists()
+
+
 def _edit_snapshot(envs):
     path = envs / "world_1.json"
     doc = json.loads(path.read_text())
@@ -311,7 +332,8 @@ _WRONG_TYPES = {
 
 
 @pytest.mark.parametrize(
-    "edit", ["unknown_key", "missing_key", "not_an_object", "no_seeds", *_WRONG_TYPES]
+    "edit",
+    ["unknown_key", "missing_key", "not_an_object", "no_seeds", "repeated_seed", *_WRONG_TYPES],
 )
 def test_malformed_run_config_exits_1(tmp_path, edit):
     """run --resume-config, validate and eval reject a malformed config.json with exit 1."""
@@ -324,6 +346,8 @@ def test_malformed_run_config_exits_1(tmp_path, edit):
         del doc["horizon"]
     elif edit == "no_seeds":
         doc["env_seeds"] = []
+    elif edit == "repeated_seed":
+        doc["env_seeds"] = [0, 1, 0]
     elif edit in _WRONG_TYPES:
         key, value = _WRONG_TYPES[edit]
         doc[key] = value
@@ -344,8 +368,16 @@ def test_malformed_run_config_exits_1(tmp_path, edit):
     [
         ("7,0,Pick up the red key,0,64,0.0,react", "env seed 7 is not in config.json"),
         ("0,0,Pick up the red key", "metrics.csv line 14: expected 7 fields, got 3"),
+        (
+            "0,0,Pick up the red key,0,64,0.0,react",
+            "metrics.csv line 14: env seed 0 episode 0 is out of order",
+        ),
+        (
+            "1,4,Pick up the red key,0,64,0.0,react",
+            "metrics.csv line 14: env seed 1 episode 4 is out of order",
+        ),
     ],
-    ids=["unknown_seed", "short_row"],
+    ids=["unknown_seed", "short_row", "repeated_episode", "extra_episode"],
 )
 def test_eval_rejects_bad_metrics_row(tmp_path, capsys, row, message):
     """A metrics.csv row that config.json cannot place exits 1 with a message."""
@@ -359,6 +391,27 @@ def test_eval_rejects_bad_metrics_row(tmp_path, capsys, row, message):
     assert message in err
     assert "Traceback" not in err
     assert not csv.exists()
+
+
+def test_eval_rejects_a_stream_listed_twice_or_cut_short(tmp_path, capsys):
+    """metrics.csv must hold episodes 0..n-1 once each, in order, per env seed:
+    a stream written twice (as a repeated seed once made run do) or a
+    missing row exits 1 naming the file."""
+    envs = _gen(tmp_path)
+    run = _run(tmp_path, envs, "run")
+    header, *rows = (run / "metrics.csv").read_text().splitlines()
+    seed0 = [r for r in rows if r.startswith("0,")]
+    csv = tmp_path / "m.csv"
+    for body, message in (
+        (rows + seed0, "metrics.csv line 14: env seed 0 episode 0 is out of order"),
+        ([r for r in rows if r != seed0[-1]], "metrics.csv: env seed 0 has 3 of 4 episodes"),
+        (seed0[1:2] + seed0[:1] + seed0[2:], "metrics.csv line 2: env seed 0 episode 1"),
+    ):
+        (run / "metrics.csv").write_text("\n".join([header, *body]) + "\n")
+        assert main(["eval", "--runs", str(run), "--baseline", str(run), "--out", str(csv)]) == 1
+        err = capsys.readouterr().err
+        assert message in err and "Traceback" not in err
+        assert not csv.exists()
 
 
 def test_run_unknown_backend_or_strategy(tmp_path, capsys):

@@ -14,9 +14,11 @@ from echogrid.oracle import (
     ScriptedBackend,
     ScriptExhaustedError,
     TurnLeftBackend,
+    _search,
     bfs_plan,
     extract_mentions,
     parse_route,
+    plan_table,
     route_text,
     sighting_tour,
 )
@@ -31,7 +33,19 @@ from echogrid.prompts import (
     classify_request,
 )
 from echogrid.textview import render_goal
-from echogrid.world import PICK_UP, Goal, copy_world, goal_satisfied, reset, step
+from echogrid.world import (
+    FACING_VECTORS,
+    PICK_UP,
+    TOGGLE_DOOR,
+    Goal,
+    action_menus,
+    copy_world,
+    generate,
+    goal_satisfied,
+    open_doors,
+    reset,
+    step,
+)
 
 from conftest import world_from_ascii
 
@@ -130,6 +144,81 @@ def test_bfs_plans_execute_successfully(bench_worlds):
                 _, valid = step(scratch, action)
                 assert valid, "BFS plans never contain invalid actions"
             assert goal_satisfied(scratch, goal)
+
+
+def _plan_alone(world, target):
+    """A search for one object alone: the first shallowest state facing it."""
+
+    def facing_target(pos, facing, opened):
+        fx, fy = FACING_VECTORS[facing]
+        return 0 if (pos[0] + fx, pos[1] + fy) == target else None
+
+    try:
+        return _search(world, facing_target)[1] + [PICK_UP]
+    except PlanningError:
+        return None
+
+
+def test_one_search_plans_every_object_as_its_own_search_would():
+    """plan_table's one search gives each object the plan of a search for that
+    object alone, on the reset worlds of seeds 0..99 and after a walk that
+    opens a door (the longest plan but its pick up, then 20 valid steps,
+    which may toggle doors and pick up or put down objects)."""
+    from echogrid.rng import SplitMix64
+
+    walks_with_open_doors = 0
+    for seed in range(100):
+        world = generate(seed)
+        walked = copy_world(world)
+        longest = max(plan_table(world).values(), key=len)
+        assert TOGGLE_DOOR in longest
+        rng = SplitMix64(seed)
+        for action in longest[:-1]:
+            step(walked, action)
+        for _ in range(20):
+            valid = sorted(action_menus(walked)[0])
+            step(walked, valid[rng.randbelow(len(valid))])
+        walks_with_open_doors += bool(open_doors(walked))
+        for w in (world, walked):
+            expected = {Goal(o.color, o.kind): _plan_alone(w, o.position) for o in w.objects}
+            assert plan_table(w) == expected
+            for goal, plan in expected.items():
+                if plan is None:  # the walk picked it up
+                    with pytest.raises(PlanningError):
+                        bfs_plan(w, goal)
+                else:
+                    assert bfs_plan(w, goal) == plan
+    assert walks_with_open_doors == 100
+
+
+def test_plan_for_raises_value_error_for_an_absent_goal(world7):
+    """An absent goal raises ValueError, so DemoBackend answers an infer_traj
+    request for it with an empty workflow."""
+    backend = DemoBackend(world7)
+    present = {(o.color, o.kind) for o in world7.objects}
+    pairs = itertools.product(("red", "grey"), ("key", "ball"))
+    absent = next(Goal(c, k) for c, k in pairs if (c, k) not in present)
+    with pytest.raises(ValueError, match="absent"):
+        backend.plan_for(absent)
+    reply = backend.complete(
+        LMRequest(
+            system_prompt=ECHO_INFER_TRAJ,
+            messages=[{"role": "user", "content": f"Goal: {render_goal(absent)}\n\nsummary"}],
+        )
+    )
+    assert json.loads(reply) == {"goal": render_goal(absent), "workflow": ""}
+    present_goal = Goal(world7.objects[0].color, world7.objects[0].kind)
+    assert backend.plan_for(present_goal) == bfs_plan(world7, present_goal)
+
+
+def test_plan_for_raises_planning_error_for_a_walled_off_object():
+    world = world_from_ascii(
+        "#######\n#@.#K.#\n#######",
+        facing="east",
+        legend={"K": ("grey", "key")},
+    )
+    with pytest.raises(PlanningError):
+        OracleBackend(world).plan_for(Goal("grey", "key"))
 
 
 def test_oracle_policy_outputs_parse(world7):

@@ -7,6 +7,7 @@ the open segment between cell centers crosses its open interior), so any
 disagreement is a bug in one of them.
 """
 
+import itertools
 from dataclasses import replace
 from fractions import Fraction
 
@@ -14,10 +15,13 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from echogrid import world as world_module
 from echogrid.textview import (
     canonical_goal,
+    format_menus,
     forward_wall_steps,
     in_window,
+    menu_line,
     number_word,
     parse_goal,
     relative_offset,
@@ -330,3 +334,31 @@ def test_render_memo_holds_one_entry_per_visited_state(seed, picks):
             valid = sorted(action_menus(world)[0])
             step(world, valid[pick % len(valid)])
     assert len(world.views) <= len(visited)
+
+
+def test_menu_line_is_the_menus_of_its_flags(monkeypatch):
+    """For each of the 16 flag sets with both turns valid, menu_line gives
+    the line format_menus makes of action_menus in a state with those flags."""
+    world = generate(0)
+    for flags in itertools.product((False, True), repeat=4):
+        validity = (True, True, *flags)
+        monkeypatch.setattr(world_module, "action_validity", lambda w, v=validity: v)
+        assert menu_line(validity) == format_menus(*action_menus(world))
+        listed = menu_line(validity).split(", invalid_actions=")[0]
+        assert [f'"{name}"' in listed for name in world_module.ACTION_NAMES] == list(validity)
+
+
+def test_menu_line_cache_holds_one_line_per_flag_set():
+    """An echo run over ten envs renders hundreds of new states, and menu_line
+    keeps at most one line for each of the 16 flag sets that can occur."""
+    from echogrid.harness import RunConfig, run_stream
+
+    before = menu_line.cache_info()
+    run_stream(
+        RunConfig(
+            env_seeds=tuple(range(10)), strategy="echo", backend="scripted:bfs-demo", workers=1
+        )
+    )
+    after = menu_line.cache_info()
+    assert after.hits + after.misses - before.hits - before.misses > 400
+    assert after.currsize <= 16
