@@ -2,8 +2,11 @@
 
 import itertools
 import json
+import re
 
 import pytest
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
 
 from echogrid.episode import format_trajectory, run_episode
 from echogrid.lm import LMRequest, parse_choice, parse_json_payload
@@ -14,7 +17,9 @@ from echogrid.oracle import (
     ScriptedBackend,
     ScriptExhaustedError,
     TurnLeftBackend,
+    _goal_line,
     _search,
+    _steps_taken,
     bfs_plan,
     extract_mentions,
     parse_route,
@@ -28,6 +33,7 @@ from echogrid.prompts import (
     ECHO_IDENTIFY_GOALS,
     ECHO_INFER_TRAJ,
     ECHO_SUMMARIZE,
+    PARSE_REMINDER,
     REFLEXION,
     agent_system_prompt,
     classify_request,
@@ -503,3 +509,150 @@ def test_every_scripted_output_passes_the_parsers(world7):
                 )
             )
             parser(reply)
+
+
+# ---------------------------------------------------------------------------
+# Scripted replies against the whole-text scans they replace
+# ---------------------------------------------------------------------------
+
+_REFERENCE_ENTITY_RE = re.compile(
+    r"\b(red|green|blue|purple|yellow|grey) (key|ball|box|star|hexagon|square|door)\b"
+)
+
+
+def _mentions_reference(text):
+    """One regex pass over the whole text, deduplicated with a list scan."""
+    out = []
+    for match in _REFERENCE_ENTITY_RE.finditer(text):
+        pair = (match.group(1), match.group(2))
+        if pair not in out:
+            out.append(pair)
+    return out
+
+
+def _goal_line_reference(text):
+    for line in text.splitlines():
+        if line.startswith("Goal: "):
+            return line[len("Goal: ") :]
+    return ""
+
+
+_COLORS = ["red", "green", "blue", "purple", "yellow", "grey"]
+_ENTITY_KINDS = ["key", "ball", "box", "star", "hexagon", "square", "door"]
+_MENTION_TEXT = st.lists(
+    st.tuples(
+        st.one_of(
+            st.tuples(st.sampled_from(_COLORS), st.sampled_from(_ENTITY_KINDS + ["keys"]))
+            .map(" ".join),
+            st.sampled_from(_COLORS + _ENTITY_KINDS + ["_", "0", "7", "é", ".", ":"]),
+        ),
+        st.sampled_from([" ", " ", ", ", "\n", "\r", "\r\n", "\n\n", "", "_", "é", "0"]),
+    ).map("".join),
+    max_size=30,
+).map("".join)
+_GOAL_TEXT = st.tuples(
+    st.sampled_from(["", "Goal: "]),
+    st.lists(
+        st.sampled_from(
+            ["Goal: ", "Goal:", "goal: ", "\nGoal: ", "Pick up the red key", "x", "é", " ",
+             "\t", "\n", "\r", "\r\n", "\x0b", "\x0c", "\x1c", "\x1d", "\x1e", "\x85",
+             "\u2028", "\u2029"]
+        ),
+        max_size=12,
+    ).map("".join),
+).map("".join)
+
+
+@settings(
+    max_examples=200, deadline=None, suppress_health_check=[HealthCheck.function_scoped_fixture]
+)
+@given(texts=st.lists(_MENTION_TEXT, min_size=1, max_size=6))
+def test_mentions_match_a_whole_text_scan(world7, texts):
+    """extract_mentions and DemoBackend's summarize and identify_goals replies
+    list what one scan of the whole text finds, in order, first occurrence
+    winning; a backend that answered other texts first answers as a fresh one,
+    also on texts made of lines it has read before."""
+    shared = DemoBackend(world7)
+    for text in texts + ["\n".join(texts), "\r\n".join(reversed(texts))]:
+        expected = _mentions_reference(text)
+        assert extract_mentions(text) == expected
+        for system_prompt in (ECHO_SUMMARIZE, ECHO_IDENTIFY_GOALS):
+            request = LMRequest(
+                system_prompt=system_prompt, messages=[{"role": "user", "content": text}]
+            )
+            reply = shared.complete(request)
+            assert reply == DemoBackend(world7).complete(request)
+            if system_prompt == ECHO_SUMMARIZE:
+                listed = ", ".join(f"{c} {k}" for c, k in expected)
+                observed = (
+                    f"Agent explored the rooms and observed: {listed}."
+                    if expected
+                    else "Agent explored but observed nothing of note."
+                )
+                assert json.loads(reply)["1"] == observed
+            else:
+                assert json.loads(reply)["possible_goals"] == [
+                    f"Pick up the {c} {k}" for c, k in expected if k != "door"
+                ]
+
+
+@settings(max_examples=400, deadline=None)
+@given(text=_GOAL_TEXT)
+def test_goal_line_matches_a_splitlines_scan(text):
+    assert _goal_line(text) == _goal_line_reference(text)
+
+
+def test_steps_taken_counts_assistant_messages():
+    """The step index is the number of assistant messages, whatever their order."""
+    u = {"role": "user", "content": "Goal: Pick up the red key\nobs"}
+    a = {"role": "assistant", "content": '{"thought": "t", "choice": 0}'}
+    bad = {"role": "assistant", "content": "no json"}
+    reminder = {"role": "user", "content": PARSE_REMINDER}
+    for messages, expected in (
+        ([u, a, u, bad, reminder], 2),
+        ([u, a, u, bad, reminder, a, u], 3),
+        ([a, a, u, a, u, u], 3),
+        ([u, u, u], 0),
+        ([], 0),
+    ):
+        assert _steps_taken(LMRequest(system_prompt="", messages=messages)) == expected
+
+
+# sha256 of every summarize and identify_goals reply of a DemoBackend through
+# echo runs of 16 episodes on env seeds 0..19 (one backend per env, as in a
+# run), a line each in call order.
+OFFLINE_REPLIES_DIGEST = "a477638704d7247179600c9661177813afbed32f3b9537dda8a57c7ea06f614e"
+
+
+def test_summarize_and_identify_goals_replies_match_pinned_digest(monkeypatch):
+    import hashlib
+
+    from echogrid import harness
+
+    digest = hashlib.sha256()
+    calls = []
+
+    def recording_make_backend(spec, world, mirror_path=None):
+        backend = real_make_backend(spec, world, mirror_path)
+        complete = backend.complete
+
+        def recorded(request):
+            reply = complete(request)
+            if classify_request(request) in ("summarize", "identify_goals"):
+                calls.append(reply)
+            return reply
+
+        backend.complete = recorded
+        return backend
+
+    real_make_backend = harness.make_backend
+    monkeypatch.setattr(harness, "make_backend", recording_make_backend)
+    config = harness.RunConfig(
+        env_seeds=tuple(range(20)), strategy="echo", backend="scripted:bfs-demo", workers=1
+    )
+    for seed in config.env_seeds:
+        harness.run_env_stream(config, seed)
+    for reply in calls:
+        digest.update((reply + "\n").encode())
+    assert len(calls) == 2 * 20 * 16
+    assert digest.hexdigest() == OFFLINE_REPLIES_DIGEST
