@@ -149,6 +149,17 @@ def _check_envs_current(envs_dir: str, index: dict, config: RunConfig) -> None:
             )
 
 
+def _check_backend(spec: str) -> None:
+    """Fail before any work unless spec names a backend make_backend builds,
+    with the live configuration complete if it is live."""
+    try:
+        harness.check_backend(spec)
+        if spec == "live":
+            LiveBackend()  # checks the live configuration without any I/O
+    except (BackendError, ValueError) as exc:
+        raise CliError(str(exc)) from None
+
+
 def cmd_run(args) -> int:
     if args.resume_config:
         try:
@@ -174,11 +185,7 @@ def cmd_run(args) -> int:
     out = Path(args.out)
     if out.exists() and (not out.is_dir() or any(out.iterdir())):
         raise CliError(f"--out {out} is not empty; old files would mix with the new run")
-    if config.backend == "live":
-        try:
-            LiveBackend()  # checks the live configuration without any I/O
-        except BackendError as exc:
-            raise CliError(str(exc)) from None
+    _check_backend(config.backend)
     try:
         record = harness.run_stream(config, out_dir=out)
     except ValueError as exc:
@@ -236,17 +243,16 @@ def cmd_validate(args) -> int:
         config = RunConfig.from_json((run_dir / "config.json").read_text(encoding="utf-8"))
     except (OSError, ValueError) as exc:
         raise CliError(f"cannot load run config: {exc}") from None
+    backend_spec = args.backend or config.backend
+    _check_backend(backend_spec)
     try:
         pools = load_validity_pools(run_dir, config.env_seeds)
-    except OSError as exc:
-        raise CliError(f"{exc.filename}: {exc.strerror}") from None
     except ValueError as exc:
         raise CliError(str(exc)) from None
     if not pools:
         print("nothing to validate: the run stored no workflows", file=sys.stderr)
         return 0
     worlds = {seed: generate(seed, config.gen_config()) for seed in config.env_seeds}
-    backend_spec = args.backend or config.backend
     report = harness.validity_analysis(
         pools, worlds, backend_spec, args.samples, sample_seed=args.sample_seed,
         horizon=config.horizon,
@@ -310,8 +316,11 @@ def main(argv=None) -> int:
     try:
         return _COMMANDS[args.command](args)
     except CliError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 1
+        message = str(exc)
+    except OSError as exc:  # a path that cannot be read, created or written
+        message = f"{exc.filename}: {exc.strerror}" if exc.filename else str(exc)
+    print(f"error: {message}", file=sys.stderr)
+    return 1
 
 
 if __name__ == "__main__":

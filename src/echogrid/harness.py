@@ -123,23 +123,28 @@ class RunRecord:
     strategy_calls: int = 0
 
 
+def check_backend(spec: str) -> None:
+    """Raise ValueError unless spec names a backend make_backend builds."""
+    if spec != "live" and spec not in SCRIPTED_BACKENDS:
+        raise ValueError(
+            f"unknown backend {spec!r}; expected 'live' or one of {list(SCRIPTED_BACKENDS)}"
+        )
+
+
 def make_backend(spec: str, world: GridWorld, mirror_path: Optional[str] = None):
     """Backend factory; scripted backends are bound to one world.
 
     Live backends read their configuration in lm.LiveBackend and
     mirror raw request/response pairs to mirror_path when given.
     """
+    check_backend(spec)
     if spec == "live":
         return LiveBackend(mirror_path=mirror_path)
     if spec == "scripted:turn-left":
         return TurnLeftBackend()
     if spec == "scripted:oracle":
         return OracleBackend(world)
-    if spec == "scripted:bfs-demo":
-        return DemoBackend(world)
-    raise ValueError(
-        f"unknown backend {spec!r}; expected 'live' or one of {list(SCRIPTED_BACKENDS)}"
-    )
+    return DemoBackend(world)
 
 
 def sample_goals(world: GridWorld, count: int, seed: int) -> list[Goal]:
@@ -307,10 +312,6 @@ class ValidityReport:
     successes: int
     total: int
     failures: list[ValidityFailure] = field(default_factory=list)
-
-    @property
-    def nothing_to_validate(self) -> bool:
-        return self.total == 0
 
 
 def default_failure_classifier(trajectory: Trajectory) -> str:

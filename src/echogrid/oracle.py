@@ -13,6 +13,7 @@ from __future__ import annotations
 import json
 import re
 from functools import cache
+from operator import countOf, itemgetter
 from typing import Callable, Optional
 
 from .lm import LMRequest
@@ -73,17 +74,26 @@ def _level_order(world: GridWorld, parent: dict):
             pos, facing, opened = state
             fx, fy = FACING_VECTORS[facing]
             ahead = (pos[0] + fx, pos[1] + fy)
-            successors = [
-                (TURN_LEFT, (pos, LEFT_OF[facing], opened)),
-                (TURN_RIGHT, (pos, RIGHT_OF[facing], opened)),
-            ]
+            succ = (pos, LEFT_OF[facing], opened)
+            if succ not in parent:
+                parent[succ] = (state, TURN_LEFT)
+                frontier.append(succ)
+                yield depth, succ
+            succ = (pos, RIGHT_OF[facing], opened)
+            if succ not in parent:
+                parent[succ] = (state, TURN_RIGHT)
+                frontier.append(succ)
+                yield depth, succ
             if ahead in floor or ahead in opened:
-                successors.append((GO_FORWARD, (ahead, facing, opened)))
-            if ahead in doors:
-                successors.append((TOGGLE_DOOR, (pos, facing, opened ^ {ahead})))
-            for action, succ in successors:
+                succ = (ahead, facing, opened)
                 if succ not in parent:
-                    parent[succ] = (state, action)
+                    parent[succ] = (state, GO_FORWARD)
+                    frontier.append(succ)
+                    yield depth, succ
+            if ahead in doors:
+                succ = (pos, facing, opened ^ {ahead})
+                if succ not in parent:
+                    parent[succ] = (state, TOGGLE_DOOR)
                     frontier.append(succ)
                     yield depth, succ
         level = frontier
@@ -218,14 +228,26 @@ _ROUTE_RE = re.compile(r"follow this route: ([a-z ,]+)\.")
 _ACTION_LINE_RE = re.compile(r"^Action: \d+ \(([a-z ]+)\) \[", re.MULTILINE)
 
 
-def extract_mentions(text: str) -> list[tuple[str, str]]:
-    """Ordered, deduplicated (color, kind-or-door) mentions in rendered text."""
-    out = []
-    for match in _ENTITY_RE.finditer(text):
-        pair = (match.group(1), match.group(2))
-        if pair not in out:
-            out.append(pair)
-    return out
+def extract_mentions(
+    text: str, line_mentions: Optional[dict[str, list]] = None
+) -> list[tuple[str, str]]:
+    """Ordered, deduplicated (color, kind-or-door) mentions in rendered text.
+
+    No mention spans a "\n" and "\n" is a word boundary, so the text is
+    matched line by line, with the same result as one pass over the whole
+    text. line_mentions maps a line to its matches; a caller that keeps it
+    across texts matches each distinct line once.
+    """
+    if line_mentions is None:
+        line_mentions = {}
+    found: dict[tuple[str, str], None] = {}
+    for line in text.split("\n"):
+        mentions = line_mentions.get(line)
+        if mentions is None:
+            mentions = line_mentions[line] = _ENTITY_RE.findall(line)
+        for pair in mentions:
+            found[pair] = None
+    return list(found)
 
 
 def route_text(plan: list[int], goal: Goal) -> str:
@@ -256,6 +278,12 @@ def _last_user_content(request: LMRequest) -> str:
 
 
 def _goal_line(text: str) -> str:
+    """The text after "Goal: " on the first line that starts with it."""
+    # An agent step message starts with its goal line; a printable line holds
+    # none of the separators splitlines() breaks at.
+    head = text.partition("\n")[0]
+    if head.startswith("Goal: ") and head.isprintable():
+        return head[len("Goal: ") :]
     for line in text.splitlines():
         if line.startswith("Goal: "):
             return line[len("Goal: ") :]
@@ -278,7 +306,8 @@ def _known_workflows(system_prompt: str) -> dict[str, str]:
 
 
 def _steps_taken(request: LMRequest) -> int:
-    return sum(1 for m in request.messages if m["role"] == "assistant")
+    """The number of assistant messages: the agent's step index, retries counted once."""
+    return countOf(map(itemgetter("role"), request.messages), "assistant")
 
 
 @cache  # seven thoughts, at most six actions each
@@ -400,6 +429,8 @@ class DemoBackend(OracleBackend):
         # (system prompt, goal line) of the last agent request, and its route.
         self._route_key: Optional[tuple[str, str]] = None
         self._route: Optional[list[int]] = None
+        # Transcript line -> its mentions, for every line this backend has read.
+        self._line_mentions: dict[str, list] = {}
 
     @property
     def tour(self) -> list[int]:
@@ -432,7 +463,7 @@ class DemoBackend(OracleBackend):
 
     def _on_summarize(self, request: LMRequest) -> str:
         transcript = _last_user_content(request)
-        mentions = extract_mentions(transcript)
+        mentions = extract_mentions(transcript, self._line_mentions)
         summary = {"0": "Agent spawned in its starting room and began exploring."}
         if mentions:
             listed = ", ".join(f"{color} {kind}" for color, kind in mentions)
@@ -448,7 +479,7 @@ class DemoBackend(OracleBackend):
         return json.dumps(summary)
 
     def _on_identify_goals(self, request: LMRequest) -> str:
-        mentions = extract_mentions(_last_user_content(request))
+        mentions = extract_mentions(_last_user_content(request), self._line_mentions)
         goals = [
             f"Pick up the {color} {kind}" for color, kind in mentions if kind in KINDS
         ]

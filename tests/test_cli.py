@@ -549,3 +549,58 @@ def test_replay_malformed_file_line_diagnostics(tmp_path, capsys):
     path.write_text('{"version": 1}\nnot json\n')
     assert main(["replay", "--trajectory", str(path)]) == 1
     assert "bad.jsonl:1" in capsys.readouterr().err
+
+
+def _exit_code(argv):
+    try:
+        return main(argv)
+    except SystemExit as exc:  # argparse's usage errors
+        return exc.code
+
+
+def test_no_bad_invocation_ends_in_a_traceback(tmp_path, capsys, monkeypatch):
+    """Every bad invocation of each command exits 1 (configuration or IO) or 2
+    (usage) with an error line on stderr; no exception leaves main."""
+    for var in ("LM_API_KEY", "LM_BASE_URL", "LM_MODEL"):
+        monkeypatch.delenv(var, raising=False)
+    envs = _gen(tmp_path)
+    run = _run(tmp_path, envs, "echo", "--strategy", "echo", "--backend", "scripted:bfs-demo")
+    afile = tmp_path / "afile"
+    afile.write_text("not a directory\n")
+    fresh = str(tmp_path / "fresh")
+    cases = [
+        (["gen", "--count", "2", "--out", f"{afile}/sub"], 1),
+        (["gen", "--count", "2", "--out", str(afile)], 1),
+        (["gen", "--count", "0", "--out", fresh], 1),
+        (["gen", "--count", "2"], 2),
+        (["run", "--envs", str(envs), "--out", f"{afile}/sub"], 1),
+        (["run", "--envs", str(envs), "--out", str(afile)], 1),
+        (["run", "--envs", str(afile), "--out", fresh], 1),
+        (["run", "--envs", str(envs), "--backend", "nope", "--out", fresh], 1),
+        (["run", "--envs", str(envs), "--backend", "live", "--out", fresh], 1),
+        (["run", "--resume-config", str(afile), "--out", fresh], 1),
+        (["run", "--envs", str(envs), "--episodes", "x", "--out", fresh], 2),
+        (["eval", "--runs", str(run), "--baseline", str(run), "--out", f"{afile}/x.csv"], 1),
+        (["eval", "--runs", str(afile), "--baseline", str(run), "--out", f"{fresh}.csv"], 1),
+        (
+            ["eval", "--runs", str(run), "--baseline", str(run), "--out", f"{fresh}.csv",
+             "--plot", f"{afile}/curves.svg"],
+            1,
+        ),
+        (["validate", "--run", str(run), "--backend", "nope"], 1),
+        (["validate", "--run", str(run), "--backend", "live"], 1),
+        (["validate", "--run", str(afile)], 1),
+        (["validate", "--run", fresh], 1),
+        (["validate"], 2),
+        (["replay", "--trajectory", str(afile)], 1),
+        (["replay", "--trajectory", str(run)], 1),
+        (["replay", "--trajectory", str(run / "trajectories.jsonl"), "--index", "99"], 1),
+        (["replay", "--trajectory", str(run / "trajectories.jsonl"), "--step", "x"], 2),
+        (["bogus"], 2),
+    ]
+    capsys.readouterr()
+    for argv, code in cases:
+        assert _exit_code(argv) == code, argv
+        err = capsys.readouterr().err
+        assert (err.startswith("error: ") if code == 1 else "error: " in err), (argv, err)
+        assert "Traceback" not in err

@@ -350,7 +350,6 @@ def test_validity_analysis_builds_one_backend_per_env(tmp_path, monkeypatch):
 
 def test_validity_analysis_nothing_to_validate():
     report = validity_analysis({}, {}, "scripted:bfs-demo", n_samples=40)
-    assert report.nothing_to_validate
     assert report.total == 0
 
 
