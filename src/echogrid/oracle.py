@@ -233,10 +233,11 @@ def extract_mentions(
 ) -> list[tuple[str, str]]:
     """Ordered, deduplicated (color, kind-or-door) mentions in rendered text.
 
-    No mention spans a "\n" and "\n" is a word boundary, so the text is
-    matched line by line, with the same result as one pass over the whole
-    text. line_mentions maps a line to its matches; a caller that keeps it
-    across texts matches each distinct line once.
+    The text is matched line by line (split at "\\n"), which finds what one
+    pass over the whole text finds: no mention spans a line break, and a
+    line break is a word boundary. line_mentions maps each line matched so
+    far to its mentions; a caller that keeps it across texts matches each
+    distinct line once.
     """
     if line_mentions is None:
         line_mentions = {}
@@ -306,7 +307,8 @@ def _known_workflows(system_prompt: str) -> dict[str, str]:
 
 
 def _steps_taken(request: LMRequest) -> int:
-    """The number of assistant messages: the agent's step index, retries counted once."""
+    """The number of assistant messages: the agent's step index while no
+    reply has needed a retry."""
     return countOf(map(itemgetter("role"), request.messages), "assistant")
 
 
