@@ -185,6 +185,9 @@ def cmd_run(args) -> int:
     out = Path(args.out)
     if out.exists() and (not out.is_dir() or any(out.iterdir())):
         raise CliError(f"--out {out} is not empty; old files would mix with the new run")
+    ancestor = next(parent for parent in out.absolute().parents if parent.exists())
+    if not ancestor.is_dir():
+        raise CliError(f"--out {out}: {ancestor} is not a directory")
     _check_backend(config.backend)
     try:
         record = harness.run_stream(config, out_dir=out)
@@ -224,12 +227,13 @@ def cmd_eval(args) -> int:
                     f"{m_series[episode] - b_series[episode]!r}"
                 )
     out = Path(args.out)
-    out.parent.mkdir(parents=True, exist_ok=True)
+    plot = Path(args.plot) if args.plot else None
+    for path in (out, plot):  # both before either file, so a bad path writes neither
+        if path is not None:
+            path.parent.mkdir(parents=True, exist_ok=True)
     header = "strategy,env_seed,episode,goal,reward,cum_avg_reward,baseline_cum_avg,gain"
     out.write_text("\n".join([header] + rows) + "\n", encoding="utf-8")
-    if args.plot:
-        plot = Path(args.plot)
-        plot.parent.mkdir(parents=True, exist_ok=True)
+    if plot is not None:
         plot.write_text(harness.render_gain_svg(curves), encoding="utf-8")
     print(f"wrote {len(rows)} rows to {out}", file=sys.stderr)
     return 0

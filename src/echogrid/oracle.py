@@ -46,7 +46,7 @@ class PlanningError(Exception):
 
 
 class ScriptExhaustedError(Exception):
-    """A scripted backend ran out of canned responses."""
+    """A scripted backend has no reply for a kind of request."""
 
 
 def _level_order(world: GridWorld, parent: dict):
@@ -318,14 +318,14 @@ def _choice(thought: str, action: int) -> str:
 
 
 class ScriptedBackend:
-    """Deterministic backend that answers with a canned list of replies.
+    """Deterministic backend that answers each request with the handler
+    method of its kind (classify_request), _on_<kind>.
 
-    Every request is recorded so tests can assert exact call counts. An
-    exhausted script raises. Subclasses answer by overriding _respond.
+    Every request is recorded so tests can assert exact call counts. A kind
+    with no handler raises.
     """
 
-    def __init__(self, script: list[str]):
-        self.script = list(script)
+    def __init__(self):
         self.requests: list[LMRequest] = []
 
     @property
@@ -334,22 +334,6 @@ class ScriptedBackend:
 
     def complete(self, request: LMRequest) -> str:
         self.requests.append(request)
-        return self._respond(request)
-
-    def _respond(self, request: LMRequest) -> str:
-        index = len(self.requests) - 1
-        if index >= len(self.script):
-            raise ScriptExhaustedError(f"script exhausted after {len(self.script)} responses")
-        return self.script[index]
-
-
-class _RuleBackend(ScriptedBackend):
-    """Scripted backend with per-call-type handler methods."""
-
-    def __init__(self):
-        super().__init__([])
-
-    def _respond(self, request: LMRequest) -> str:
         kind = classify_request(request)
         handler = getattr(self, f"_on_{kind}", None)
         if handler is None:
@@ -383,14 +367,14 @@ class _RuleBackend(ScriptedBackend):
         return json.dumps({"goal": goal, "workflow": workflow})
 
 
-class TurnLeftBackend(_RuleBackend):
+class TurnLeftBackend(ScriptedBackend):
     """Agent that circles in place forever; offline calls abstain."""
 
     def _on_agent(self, request: LMRequest) -> str:
         return _choice("Circling in place.", TURN_LEFT)
 
 
-class OracleBackend(_RuleBackend):
+class OracleBackend(ScriptedBackend):
     """Perfect agent: replays the BFS-shortest plan for the episode goal."""
 
     def __init__(self, world: GridWorld):

@@ -4,15 +4,17 @@ Rendering is a pure function of world state; identical states produce
 byte-identical text. The agent sees a 7x7 window extending 6 cells ahead
 and 3 to each side. A cell is visible when the straight segment between
 the agent's cell center and the target cell center crosses the interior of
-no wall or closed-door cell (corner grazing does not block). The full
-sentence grammar is documented in docs/observation-format.md.
+no wall or closed-door cell (corner grazing does not block). Which offsets
+the window holds, and which cells each segment crosses, are built once at
+import (WINDOWS, LINES). The full sentence grammar is documented in
+docs/observation-format.md.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import cache
-from typing import Callable, Optional
+from typing import Optional
 
 from .world import (
     COLORS,
@@ -22,9 +24,9 @@ from .world import (
     Goal,
     GridWorld,
     action_validity,
+    blocks_sight,
     open_doors,
     partition_actions,
-    sight_blocker,
 )
 
 WINDOW_AHEAD = 6  # cells visible straight ahead
@@ -70,65 +72,56 @@ def steps_phrase(n: int) -> str:
     return f"{number_word(n)} step" + ("" if n == 1 else "s")
 
 
-def segment_clear(
-    src: tuple[int, int], dst: tuple[int, int], blocked: Callable[[tuple[int, int]], bool]
-) -> bool:
-    """Exact integer march over the cells whose interior the segment crosses.
+def _line(dx: int, dy: int) -> tuple[tuple[int, int], ...]:
+    """Offsets of the cells strictly between (0, 0) and (dx, dy) whose interior
+    the segment between their centers crosses, in march order.
 
-    Works in doubled coordinates so cell centers are odd lattice points and
-    cell boundaries are even lines; comparisons are cross-multiplied, never
-    floating point. A crossing that lands exactly on a lattice corner steps
-    diagonally, skipping both corner-adjacent cells.
+    An exact integer march in doubled coordinates, where cell centers are odd
+    lattice points and cell boundaries even lines: from the cell at (x, y),
+    the segment meets the next vertical boundary after 2|x| + 1 half-cells of
+    x travel and the next horizontal one after 2|y| + 1 of y travel, compared
+    cross-multiplied, never in floating point. A crossing that lands exactly
+    on a lattice corner steps diagonally, skipping both corner-adjacent cells.
     """
-    px, py = 2 * src[0] + 1, 2 * src[1] + 1
-    qx, qy = 2 * dst[0] + 1, 2 * dst[1] + 1
-    dx, dy = qx - px, qy - py
     sx = 1 if dx > 0 else -1
     sy = 1 if dy > 0 else -1
-    cx, cy = src
-    while (cx, cy) != dst:
+    x = y = 0
+    cells = []
+    while True:
         if dx == 0:
-            cy += sy
+            y += sy
         elif dy == 0:
-            cx += sx
+            x += sx
         else:
-            bx = 2 * cx + (2 if sx > 0 else 0)
-            by = 2 * cy + (2 if sy > 0 else 0)
-            tx_num = abs(bx - px)
-            ty_num = abs(by - py)
-            a = tx_num * abs(dy)
-            b = ty_num * abs(dx)
-            if a < b:
-                cx += sx
-            elif a > b:
-                cy += sy
-            else:
-                cx += sx
-                cy += sy
-        if (cx, cy) == dst:
-            break
-        if blocked((cx, cy)):
-            return False
-    return True
+            to_x = (2 * abs(x) + 1) * abs(dy)
+            to_y = (2 * abs(y) + 1) * abs(dx)
+            if to_x <= to_y:
+                x += sx
+            if to_x >= to_y:
+                y += sy
+        if (x, y) == (dx, dy):
+            return tuple(cells)
+        cells.append((x, y))
 
 
-def offset_from(
-    origin: tuple[int, int], facing: str, target: tuple[int, int]
-) -> tuple[int, int]:
-    """(ahead, lateral) of target seen from an arbitrary pose; right is positive."""
-    fx, fy = FACING_VECTORS[facing]
-    rx, ry = RIGHT_VECTORS[facing]
-    dx, dy = target[0] - origin[0], target[1] - origin[1]
-    return (dx * fx + dy * fy, dx * rx + dy * ry)
+def _window(facing: str) -> dict[tuple[int, int], tuple[int, int]]:
+    """(ahead, lateral) of each (dx, dy) in the window of the facing."""
+    (fx, fy), (rx, ry) = FACING_VECTORS[facing], RIGHT_VECTORS[facing]
+    return {
+        (ahead * fx + lateral * rx, ahead * fy + lateral * ry): (ahead, lateral)
+        for ahead in range(WINDOW_AHEAD + 1)
+        for lateral in range(-WINDOW_SIDE, WINDOW_SIDE + 1)
+        if (ahead, lateral) != (0, 0)
+    }
 
 
-def relative_offset(world: GridWorld, pos: tuple[int, int]) -> tuple[int, int]:
-    """(ahead, lateral) of pos relative to the agent; positive lateral is right."""
-    return offset_from(world.agent.position, world.agent.facing, pos)
-
-
-def in_window(ahead: int, lateral: int) -> bool:
-    return 0 <= ahead <= WINDOW_AHEAD and abs(lateral) <= WINDOW_SIDE and (ahead, lateral) != (0, 0)
+# Sight geometry, fixed for the whole process: whether a pose sees a cell
+# depends on the offset alone, given which cells on the line block.
+# WINDOWS[facing] maps each (dx, dy) of the window to its (ahead, lateral), 48
+# per facing; LINES maps each of the 132 offsets of the four windows to the
+# cells its segment crosses, at most 8.
+WINDOWS = {facing: _window(facing) for facing in FACING_VECTORS}
+LINES = {offset: _line(*offset) for window in WINDOWS.values() for offset in window}
 
 
 def sees(
@@ -140,18 +133,23 @@ def sees(
 ) -> bool:
     """Whether target is in the window of the pose (origin, facing) with a clear
     line, given the open doors."""
-    return in_window(*offset_from(origin, facing, target)) and segment_clear(
-        origin, target, sight_blocker(world, opened)
-    )
+    x, y = origin
+    offset = (target[0] - x, target[1] - y)
+    if offset not in WINDOWS[facing]:
+        return False
+    for cx, cy in LINES[offset]:
+        if blocks_sight(world, (x + cx, y + cy), opened):
+            return False
+    return True
 
 
-def forward_wall_steps(world: GridWorld) -> int:
-    """Free forward steps before a wall or closed door stops the agent's line."""
-    blocked = sight_blocker(world, open_doors(world))
+def forward_wall_steps(world: GridWorld, opened: frozenset) -> int:
+    """Free forward steps before a wall or a door not in opened stops the
+    agent's line."""
     fx, fy = FACING_VECTORS[world.agent.facing]
     x, y = world.agent.position
     k = 1
-    while not blocked((x + k * fx, y + k * fy)):
+    while not blocks_sight(world, (x + k * fx, y + k * fy), opened):
         k += 1
     return k - 1
 
@@ -169,21 +167,21 @@ def offset_phrase(ahead: int, lateral: int) -> str:
     return " and ".join(parts)
 
 
-def visible_entities(world: GridWorld) -> tuple[VisibleEntity, ...]:
-    """Entities in the unoccluded window, nearest first.
+def visible_entities(world: GridWorld, opened: frozenset) -> tuple[VisibleEntity, ...]:
+    """Entities in the unoccluded window, given the open doors, nearest first.
 
     Order: L1 distance, then left before right, then color name, then kind.
     """
-    opened = open_doors(world)
     pos, facing = world.agent.position, world.agent.facing
+    window = WINDOWS[facing]
     found = []
     for obj in world.objects:
         if obj.position is not None and sees(world, pos, facing, obj.position, opened):
-            ahead, lateral = relative_offset(world, obj.position)
+            ahead, lateral = window[obj.position[0] - pos[0], obj.position[1] - pos[1]]
             found.append(VisibleEntity("object", obj.color, obj.kind, None, ahead, lateral))
     for door in world.doors:
         if sees(world, pos, facing, door.position, opened):
-            ahead, lateral = relative_offset(world, door.position)
+            ahead, lateral = window[door.position[0] - pos[0], door.position[1] - pos[1]]
             found.append(VisibleEntity("door", door.color, "door", door.state, ahead, lateral))
     found.sort(key=lambda e: (e.ahead + abs(e.lateral), e.lateral, e.color, e.kind))
     return tuple(found)
@@ -221,12 +219,13 @@ def render(world: GridWorld) -> Observation:
     states share one Observation.
     """
     agent = world.agent
+    opened = open_doors(world)
     positions = tuple(o.position for o in world.objects)
-    key = (agent.position, agent.facing, agent.carrying, open_doors(world), positions)
+    key = (agent.position, agent.facing, agent.carrying, opened, positions)
     observation = world.views.get(key)
     if observation is None:
-        entities = visible_entities(world)
-        sentences = [WALL_TEMPLATE.format(distance=steps_phrase(forward_wall_steps(world)))]
+        entities = visible_entities(world, opened)
+        sentences = [WALL_TEMPLATE.format(distance=steps_phrase(forward_wall_steps(world, opened)))]
         sentences.extend(entity_sentence(e) for e in entities)
         carried = world.carried_object
         if carried is not None:

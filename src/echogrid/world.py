@@ -6,7 +6,7 @@ holds exactly one portable object. Worlds are generated from a 64-bit seed
 and can always be reset to their exact starting configuration, which is what
 makes cross-episode memory the only learnable advantage.
 
-The movement and sight rules (can_enter, free_floor, sight_blocker,
+The movement and sight rules (can_enter, free_floor, blocks_sight,
 action_validity) live here alone; step, the text renderer and the BFS
 planner read them.
 GridWorld.views memoizes textview.render per state. The key holds every field
@@ -22,7 +22,7 @@ from __future__ import annotations
 
 import json
 from dataclasses import dataclass, field
-from typing import Callable, Optional
+from typing import Optional
 
 from .rng import stage_stream
 
@@ -62,8 +62,6 @@ TOGGLE_DOOR = 5
 ACTION_NAMES = ("turn left", "turn right", "go forward", "pick up", "put down", "toggle door")
 
 SNAPSHOT_VERSION = 1
-
-Blocker = Callable[[tuple[int, int]], bool]  # does this cell block sight?
 
 
 class GenerationError(ValueError):
@@ -150,10 +148,6 @@ class GridWorld:
         if self.agent.carrying is None:
             return None
         return self.objects[self.agent.carrying]
-
-    def room_cells(self, room: tuple[int, int, int, int]) -> list[tuple[int, int]]:
-        x0, y0, x1, y1 = room
-        return [(x, y) for y in range(y0, y1 + 1) for x in range(x0, x1 + 1)]
 
 
 def _layout(config: GenConfig):
@@ -310,14 +304,10 @@ def free_floor(world: GridWorld) -> set[tuple[int, int]]:
     }
 
 
-def sight_blocker(world: GridWorld, opened: frozenset) -> Blocker:
+def blocks_sight(world: GridWorld, pos: tuple[int, int], opened: frozenset) -> bool:
     """Sight rule: walls and doors not in opened block sight; objects never do."""
-
-    def blocked(pos: tuple[int, int]) -> bool:
-        cell = world.cell(pos)
-        return cell == WALL or (cell == DOOR and pos not in opened)
-
-    return blocked
+    cell = world.cell(pos)
+    return cell == WALL or (cell == DOOR and pos not in opened)
 
 
 def turned(facing: str, action: int) -> str:
@@ -372,11 +362,6 @@ def partition_actions(validity: tuple[bool, ...]) -> tuple[dict[int, str], dict[
     valid = {i: ACTION_NAMES[i] for i in range(6) if validity[i]}
     invalid = {i: ACTION_NAMES[i] for i in range(6) if not validity[i]}
     return valid, invalid
-
-
-def action_menus(world: GridWorld) -> tuple[dict[int, str], dict[int, str]]:
-    """The (valid, invalid) action maps of the current state."""
-    return partition_actions(action_validity(world))
 
 
 def check_goal(world: GridWorld, goal: Goal) -> None:

@@ -1,4 +1,5 @@
-"""Shared fixtures: generated worlds plus a builder for hand-crafted layouts."""
+"""Shared fixtures: generated worlds, a builder for hand-crafted layouts, and
+a backend fake with canned replies."""
 
 from __future__ import annotations
 
@@ -66,6 +67,23 @@ def world_from_ascii(
         seed=0,
         room_layout=(),
     )
+
+
+class CannedBackend:
+    """Backend fake that answers the n-th request with the n-th canned reply
+    and records every request, as the scripted backends do."""
+
+    def __init__(self, replies: list[str]):
+        self.replies = list(replies)
+        self.requests = []
+
+    @property
+    def calls(self) -> int:
+        return len(self.requests)
+
+    def complete(self, request) -> str:
+        self.requests.append(request)
+        return self.replies[len(self.requests) - 1]
 
 
 @pytest.fixture

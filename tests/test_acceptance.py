@@ -17,10 +17,12 @@ from echogrid.harness import (
     validity_analysis,
 )
 from echogrid.lm import ParseError, parse_choice, parse_json_payload
-from echogrid.oracle import ScriptedBackend, bfs_plan
+from echogrid.oracle import bfs_plan
 from echogrid.rng import SplitMix64
 from echogrid.strategies import STRATEGIES, ReplayBuffer, update_rule
 from echogrid.world import Goal, generate
+
+from conftest import CannedBackend
 
 PAPER_SCALE_SEEDS = tuple(range(10))
 
@@ -88,11 +90,11 @@ def test_criterion_4_framework_call_counts():
         steps=[StepRecord("obs", "think", 2, True, 0)],
     )
 
-    backend = ScriptedBackend(script=[json.dumps({"reflection": "note"})])
+    backend = CannedBackend([json.dumps({"reflection": "note"})])
     STRATEGIES["reflexion"].after_episode(backend, trajectory, [])
     assert backend.calls == 1
 
-    backend = ScriptedBackend(script=[json.dumps({"goal": "g", "workflow": "w"})])
+    backend = CannedBackend([json.dumps({"goal": "g", "workflow": "w"})])
     STRATEGIES["awm"].after_episode(backend, trajectory, [])
     assert backend.calls == 1
 
@@ -104,7 +106,7 @@ def test_criterion_4_framework_call_counts():
             json.dumps({"goal": f"Pick up the goal{i}", "workflow": f"w{i}"})
             for i in range(n_goals)
         ]
-        backend = ScriptedBackend(script=script)
+        backend = CannedBackend(script)
         STRATEGIES["echo"].after_episode(backend, trajectory, ReplayBuffer())
         assert backend.calls == 2 + n_goals, f"echo must spend 2 + {n_goals} calls"
     _ok(4, "call counts: reflexion 1, awm 1, echo 2 + |goals|")

@@ -237,6 +237,45 @@ def test_run_refuses_nonempty_out_dir(tmp_path, capsys):
     assert a_file.read_bytes() == files[a_file]
 
 
+def test_run_refuses_an_out_under_a_file_before_any_stream(tmp_path, capsys, monkeypatch):
+    """An --out whose nearest existing ancestor is a file fails before the
+    first env stream runs, and creates nothing."""
+    from echogrid import harness
+
+    envs = _gen(tmp_path)
+    afile = tmp_path / "afile"
+    afile.write_text("not a directory\n")
+
+    def no_stream(*args, **kwargs):
+        raise AssertionError("an env stream ran")
+
+    monkeypatch.setattr(harness, "run_env_stream", no_stream)
+    before = sorted(tmp_path.rglob("*"))
+    capsys.readouterr()
+    for out in (afile / "sub", afile / "sub" / "deeper"):
+        assert main(["run", "--envs", str(envs), "--out", str(out)]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and "Traceback" not in err
+    assert sorted(tmp_path.rglob("*")) == before
+
+
+def test_eval_with_a_bad_plot_path_writes_no_out_file(tmp_path, capsys):
+    """A --plot path that cannot be created fails before --out is written."""
+    envs = _gen(tmp_path)
+    run = _run(tmp_path, envs, "r1")
+    afile = tmp_path / "afile"
+    afile.write_text("not a directory\n")
+    out = tmp_path / "e.csv"
+    capsys.readouterr()
+    code = main(
+        ["eval", "--runs", str(run), "--baseline", str(run), "--out", str(out),
+         "--plot", str(afile / "c.svg")]
+    )
+    assert code == 1
+    assert capsys.readouterr().err.startswith("error: ")
+    assert not out.exists()
+
+
 def test_run_missing_env_vars_for_live_backend(tmp_path, capsys, monkeypatch):
     for var in ("LM_API_KEY", "LM_BASE_URL", "LM_MODEL"):
         monkeypatch.delenv(var, raising=False)

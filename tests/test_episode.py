@@ -19,6 +19,8 @@ from echogrid.policy import ReactPolicy
 from echogrid.rng import SplitMix64
 from echogrid.world import COLORS, KINDS, Goal, copy_world, reset
 
+from conftest import CannedBackend
+
 
 class TurnLeftPolicy:
     def begin_episode(self, goal_text):
@@ -312,12 +314,11 @@ def test_deserialize_rejects_bad_version():
 
 def test_policy_retry_with_reminder_attributes_calls(world7):
     """A garbled first reply costs one extra call on that same step."""
-    from echogrid.oracle import ScriptedBackend
     from echogrid.policy import ReactPolicy
     from echogrid.prompts import PARSE_REMINDER
 
-    backend = ScriptedBackend(
-        script=["not parseable at all", '{"thought": "ok now", "choice": 0}']
+    backend = CannedBackend(
+        ["not parseable at all", '{"thought": "ok now", "choice": 0}']
     )
     policy = ReactPolicy(backend, horizon=4)
     policy.begin_episode("Pick up the grey key")
@@ -330,11 +331,10 @@ def test_policy_retry_with_reminder_attributes_calls(world7):
 
 
 def test_policy_aborts_after_second_parse_failure(world7):
-    from echogrid.oracle import ScriptedBackend
     from echogrid.policy import ReactPolicy
     from echogrid.textview import render
 
-    backend = ScriptedBackend(script=["garbage one", "garbage two"])
+    backend = CannedBackend(["garbage one", "garbage two"])
     policy = ReactPolicy(backend, horizon=4)
     policy.begin_episode("Pick up the grey key")
     with pytest.raises(PolicyError, match="unparseable"):

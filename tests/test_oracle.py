@@ -14,7 +14,6 @@ from echogrid.oracle import (
     DemoBackend,
     OracleBackend,
     PlanningError,
-    ScriptedBackend,
     ScriptExhaustedError,
     TurnLeftBackend,
     _goal_line,
@@ -44,11 +43,12 @@ from echogrid.world import (
     PICK_UP,
     TOGGLE_DOOR,
     Goal,
-    action_menus,
+    action_validity,
     copy_world,
     generate,
     goal_satisfied,
     open_doors,
+    partition_actions,
     reset,
     step,
 )
@@ -182,7 +182,7 @@ def test_one_search_plans_every_object_as_its_own_search_would():
         for action in longest[:-1]:
             step(walked, action)
         for _ in range(20):
-            valid = sorted(action_menus(walked)[0])
+            valid = sorted(partition_actions(action_validity(walked))[0])
             step(walked, valid[rng.randbelow(len(valid))])
         walks_with_open_doors += bool(open_doors(walked))
         for w in (world, walked):
@@ -244,16 +244,6 @@ def test_oracle_policy_episode_matches_plan(world7):
     assert all(s.was_valid for s in traj.steps)
 
 
-def test_scripted_backend_records_and_strict_exhaustion():
-    backend = ScriptedBackend(script=["a", "b"])
-    request = _agent_request("Pick up the grey key")
-    assert backend.complete(request) == "a"
-    assert backend.complete(request) == "b"
-    assert backend.calls == 2
-    with pytest.raises(ScriptExhaustedError):
-        backend.complete(request)
-
-
 @pytest.mark.parametrize(
     "make",
     [lambda w: TurnLeftBackend(), OracleBackend, DemoBackend],
@@ -290,7 +280,10 @@ def test_classify_request_routes_by_system_prompt():
     assert classify_request(_agent_request("x", memory_text="")) == "agent"
     for prompt, role in ((ECHO_INFER_TRAJ, "infer_traj"), (REFLEXION, "reflect"), (AWM, "awm")):
         assert classify_request(LMRequest(system_prompt=prompt, messages=[])) == role
-    assert classify_request(LMRequest(system_prompt="You are a poet.", messages=[])) == "unknown"
+    poet = LMRequest(system_prompt="You are a poet.", messages=[])
+    assert classify_request(poet) == "unknown"
+    with pytest.raises(ScriptExhaustedError, match="'unknown'"):
+        TurnLeftBackend().complete(poet)  # a scripted backend has no handler for it
 
 
 def test_sighting_tour_sees_every_object(bench_worlds):
@@ -347,7 +340,7 @@ def test_agent_step_messages_and_replies_match_pinned_digest():
     from echogrid.rng import SplitMix64
     from echogrid.strategies import render_workflows
     from echogrid.textview import canonical_goal, render
-    from echogrid.world import ACTION_NAMES, action_menus, generate
+    from echogrid.world import ACTION_NAMES, generate
 
     digest = hashlib.sha256()
     replies = set()
@@ -364,7 +357,7 @@ def test_agent_step_messages_and_replies_match_pinned_digest():
             digest.update((policy.messages[0]["content"] + "\n").encode())
             replies.add(policy.messages[1]["content"])
             if i < 40:
-                valid = sorted(action_menus(world)[0])
+                valid = sorted(partition_actions(action_validity(world))[0])
                 step(world, valid[rng.randbelow(len(valid))])
         demo = DemoBackend(generate(seed))
         every_action = route_text(list(range(len(ACTION_NAMES))), goal)

@@ -8,7 +8,6 @@ from hypothesis import strategies as st
 
 from echogrid.episode import StepRecord, Trajectory
 from echogrid.lm import BackendError
-from echogrid.oracle import ScriptedBackend
 from echogrid.strategies import (
     STRATEGIES,
     ReplayBuffer,
@@ -17,6 +16,8 @@ from echogrid.strategies import (
     update_rule,
 )
 from echogrid.world import Goal
+
+from conftest import CannedBackend
 
 
 def _trajectory(success=False) -> Trajectory:
@@ -93,7 +94,7 @@ def _echo_script(goals_with_workflows, summary_text="Agent explored."):
     script.append(json.dumps({"possible_goals": [g for g, _ in goals_with_workflows]}))
     for goal, workflow in goals_with_workflows:
         script.append(json.dumps({"goal": goal, "workflow": workflow}))
-    return ScriptedBackend(script=script)
+    return CannedBackend(script)
 
 
 def test_echo_inserts_and_replaces_on_collision():
@@ -124,7 +125,7 @@ def test_echo_longer_candidate_never_replaces():
 
 
 def test_echo_summarize_parse_failure_skips_episode():
-    backend = ScriptedBackend(script=["no json at all"])
+    backend = CannedBackend(["no json at all"])
     buffer = ReplayBuffer(entries={"g": "w"})
     STRATEGIES["echo"].after_episode(backend, _trajectory(), buffer)
     assert buffer.entries == {"g": "w"}
@@ -139,14 +140,14 @@ def test_echo_infer_parse_failure_skips_only_that_goal():
         json.dumps({"goal": "Pick up the red ball", "workflow": "valid route"}),
     ]
     buffer = ReplayBuffer()
-    STRATEGIES["echo"].after_episode(ScriptedBackend(script=script), _trajectory(), buffer)
+    STRATEGIES["echo"].after_episode(CannedBackend(script), _trajectory(), buffer)
     assert buffer.entries == {"pick up the red ball": "valid route"}
 
 
 def test_echo_backend_error_keeps_earlier_updates():
     """Candidates merge as they arrive, so a failing later call keeps earlier ones."""
 
-    class FailsOnFourthCall(ScriptedBackend):
+    class FailsOnFourthCall(CannedBackend):
         def complete(self, request):
             if self.calls == 3:
                 raise BackendError("connection reset")
@@ -154,10 +155,10 @@ def test_echo_backend_error_keeps_earlier_updates():
 
     script = _echo_script(
         [("Pick up the grey star", "route one"), ("Pick up the red ball", "route two")]
-    ).script
+    ).replies
     buffer = ReplayBuffer()
     with pytest.raises(BackendError):
-        STRATEGIES["echo"].after_episode(FailsOnFourthCall(script=script), _trajectory(), buffer)
+        STRATEGIES["echo"].after_episode(FailsOnFourthCall(script), _trajectory(), buffer)
     assert buffer.entries == {"pick up the grey star": "route one"}
 
 
@@ -182,7 +183,7 @@ def test_reflexion_appends_one_reflection_per_episode():
         "I need to ensure that I correctly execute the 'pick up' action when I am "
         "adjacent to the target item."
     )
-    backend = ScriptedBackend(script=[json.dumps({"reflection": reflection})] * 2)
+    backend = CannedBackend([json.dumps({"reflection": reflection})] * 2)
     memory = []
     STRATEGIES["reflexion"].after_episode(backend, _trajectory(), memory)
     assert memory == [reflection]
@@ -192,15 +193,15 @@ def test_reflexion_appends_one_reflection_per_episode():
 
 
 def test_reflexion_malformed_output_appends_nothing():
-    backend = ScriptedBackend(script=["not json"])
+    backend = CannedBackend(["not json"])
     memory = []
     STRATEGIES["reflexion"].after_episode(backend, _trajectory(), memory)
     assert memory == []
 
 
 def test_awm_failure_payload_is_noop():
-    backend = ScriptedBackend(
-        script=[json.dumps({"goal": "Pick up grey key.", "workflow": ""})]
+    backend = CannedBackend(
+        [json.dumps({"goal": "Pick up grey key.", "workflow": ""})]
     )
     log = []
     STRATEGIES["awm"].after_episode(backend, _trajectory(success=False), log)
@@ -210,7 +211,7 @@ def test_awm_failure_payload_is_noop():
 
 def test_awm_appends_success_and_allows_duplicates():
     reply = json.dumps({"goal": "Pick up the grey key", "workflow": "go north"})
-    backend = ScriptedBackend(script=[reply, reply])
+    backend = CannedBackend([reply, reply])
     log = []
     STRATEGIES["awm"].after_episode(backend, _trajectory(success=True), log)
     STRATEGIES["awm"].after_episode(backend, _trajectory(success=True), log)
@@ -230,14 +231,14 @@ def test_awmpp_keyed_differs_from_awm_append():
     log = []
     buffer = ReplayBuffer()
     for reply in replies:
-        STRATEGIES["awm"].after_episode(ScriptedBackend(script=[reply]), _trajectory(True), log)
-        STRATEGIES["awmpp"].after_episode(ScriptedBackend(script=[reply]), _trajectory(True), buffer)
+        STRATEGIES["awm"].after_episode(CannedBackend([reply]), _trajectory(True), log)
+        STRATEGIES["awmpp"].after_episode(CannedBackend([reply]), _trajectory(True), buffer)
     assert len(log) == 3
     assert buffer.entries == {"pick up the grey key": "short"}
 
 
 def test_awmpp_failure_unchanged():
-    backend = ScriptedBackend(script=[json.dumps({"goal": "Pick up grey key.", "workflow": ""})])
+    backend = CannedBackend([json.dumps({"goal": "Pick up grey key.", "workflow": ""})])
     buffer = ReplayBuffer(entries={"pick up the grey key": "w"})
     STRATEGIES["awmpp"].after_episode(backend, _trajectory(False), buffer)
     assert buffer.entries == {"pick up the grey key": "w"}
@@ -245,11 +246,11 @@ def test_awmpp_failure_unchanged():
 
 def test_call_count_fidelity():
     """Exact LM-call budget per after_episode invocation."""
-    reflexion = ScriptedBackend(script=[json.dumps({"reflection": "note"})])
+    reflexion = CannedBackend([json.dumps({"reflection": "note"})])
     STRATEGIES["reflexion"].after_episode(reflexion, _trajectory(), [])
     assert reflexion.calls == 1
 
-    awm = ScriptedBackend(script=[json.dumps({"goal": "g", "workflow": "w"})])
+    awm = CannedBackend([json.dumps({"goal": "g", "workflow": "w"})])
     STRATEGIES["awm"].after_episode(awm, _trajectory(True), [])
     assert awm.calls == 1
 
@@ -300,7 +301,7 @@ def test_abstention_everywhere_degrades_to_react():
     ):
         strategy = get_strategy(name)
         memory = strategy.new_memory()
-        memory = strategy.after_episode(ScriptedBackend(script=replies), _trajectory(), memory)
+        memory = strategy.after_episode(CannedBackend(replies), _trajectory(), memory)
         assert strategy.render_memory(memory) == ""
 
 
@@ -319,12 +320,12 @@ def test_strategy_isolation_under_interleaving():
                 _echo_script([("Pick up the grey star", "r2")]), _trajectory(), echo_mem
             ),
             "a1": lambda: awm.after_episode(
-                ScriptedBackend(script=[json.dumps({"goal": "g", "workflow": "w1"})]),
+                CannedBackend([json.dumps({"goal": "g", "workflow": "w1"})]),
                 _trajectory(True),
                 awm_mem,
             ),
             "a2": lambda: awm.after_episode(
-                ScriptedBackend(script=[json.dumps({"goal": "g", "workflow": "w2"})]),
+                CannedBackend([json.dumps({"goal": "g", "workflow": "w2"})]),
                 _trajectory(True),
                 awm_mem,
             ),

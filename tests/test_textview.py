@@ -1,10 +1,10 @@
 """Observation rendering against an independent geometric oracle.
 
-The renderer walks the sight segment cell by cell; the oracle here instead
-tests the segment against each candidate blocker with exact rational
-slab intersection. Both implement the same rule (a cell blocks sight when
-the open segment between cell centers crosses its open interior), so any
-disagreement is a bug in one of them.
+The renderer walks a sight segment's cells from a table the integer march
+built; the oracle here instead tests the segment against each candidate
+blocker with exact rational slab intersection. Both implement the same rule
+(a cell blocks sight when the open segment between cell centers crosses its
+open interior), so any disagreement is a bug in one of them.
 """
 
 import itertools
@@ -17,14 +17,14 @@ from hypothesis import strategies as st
 
 from echogrid import world as world_module
 from echogrid.textview import (
+    LINES,
+    WINDOWS,
     canonical_goal,
     format_menus,
     forward_wall_steps,
-    in_window,
     menu_line,
     number_word,
     parse_goal,
-    relative_offset,
     render,
     render_goal,
     steps_phrase,
@@ -36,10 +36,11 @@ from echogrid.world import (
     TURN_RIGHT,
     WALL,
     Goal,
-    action_menus,
+    action_validity,
     copy_world,
     generate,
     open_doors,
+    partition_actions,
     step,
 )
 
@@ -66,6 +67,26 @@ def segment_hits_open_square(p, q, cell):
                 t1, t2 = t2, t1
             t_lo, t_hi = max(t_lo, t1), min(t_hi, t2)
     return t_lo < t_hi
+
+
+# Unit vector ahead per facing; the rightward lateral vector of (fx, fy) is (-fy, fx).
+AHEAD = {"north": (0, -1), "east": (1, 0), "south": (0, 1), "west": (-1, 0)}
+
+
+def offset_seen_facing(facing, dx, dy):
+    """(ahead, lateral) of the offset (dx, dy) for a pose with this facing."""
+    fx, fy = AHEAD[facing]
+    return (dx * fx + dy * fy, dy * fx - dx * fy)
+
+
+def relative_offset(world, pos):
+    """(ahead, lateral) of pos relative to the agent; positive lateral is right."""
+    (x, y), facing = world.agent.position, world.agent.facing
+    return offset_seen_facing(facing, pos[0] - x, pos[1] - y)
+
+
+def in_window(ahead, lateral):
+    return 0 <= ahead <= 6 and abs(lateral) <= 3 and (ahead, lateral) != (0, 0)
 
 
 def oracle_visible(world, target):
@@ -114,11 +135,11 @@ def test_closed_door_limits_wall_distance():
     world = world_from_ascii(
         "#####\n#@+.#\n#####", facing="east", door_specs=[("red", "closed")]
     )
-    assert forward_wall_steps(world) == 0
+    assert forward_wall_steps(world, open_doors(world)) == 0
     from echogrid.world import TOGGLE_DOOR
 
     step(world, TOGGLE_DOOR)
-    assert forward_wall_steps(world) == 2, "open door lets the gaze continue"
+    assert forward_wall_steps(world, open_doors(world)) == 2, "open door lets the gaze continue"
 
 
 def test_exact_rendered_sentence_from_oracle():
@@ -232,6 +253,35 @@ def test_goal_roundtrip():
         parse_goal("Pick up the mauve key")
 
 
+def test_sight_tables_match_the_exact_reference():
+    """WINDOWS[f] holds exactly the 48 cells of the 7x7 forward window, and
+    LINES lists, in march order, exactly the cells whose open interior the
+    segment to each offset crosses by the rational slab test."""
+    for facing in AHEAD:
+        expected = {}
+        for dx in range(-6, 7):
+            for dy in range(-6, 7):
+                ahead, lateral = offset_seen_facing(facing, dx, dy)
+                if in_window(ahead, lateral):
+                    expected[dx, dy] = (ahead, lateral)
+        assert len(expected) == 48
+        assert WINDOWS[facing] == expected
+    assert set(LINES) == {offset for window in WINDOWS.values() for offset in window}
+    assert len(LINES) == 132
+    for (dx, dy), cells in LINES.items():
+        target = (2 * dx + 1, 2 * dy + 1)
+        crossed = {
+            (x, y)
+            for x in range(min(0, dx), max(0, dx) + 1)
+            for y in range(min(0, dy), max(0, dy) + 1)
+            if (x, y) not in ((0, 0), (dx, dy))
+            and segment_hits_open_square((1, 1), target, (x, y))
+        }
+        assert sorted(cells) == sorted(crossed), (dx, dy)
+        distances = [abs(x) + abs(y) for x, y in cells]
+        assert distances == sorted(set(distances)), f"{(dx, dy)}: not in march order"
+
+
 @settings(max_examples=80, deadline=None)
 @given(
     seed=st.integers(min_value=0, max_value=60),
@@ -285,7 +335,7 @@ def test_render_with_filled_memo_matches_fresh_world(seed, picks):
     for pick in [*picks, None]:
         assert render(world) == render(replace(world, views={}))
         if pick is not None:
-            valid = sorted(action_menus(world)[0])
+            valid = sorted(partition_actions(action_validity(world))[0])
             step(world, valid[pick % len(valid)])
 
 
@@ -331,19 +381,18 @@ def test_render_memo_holds_one_entry_per_visited_state(seed, picks):
              tuple(o.position for o in world.objects))
         )
         if pick is not None:
-            valid = sorted(action_menus(world)[0])
+            valid = sorted(partition_actions(action_validity(world))[0])
             step(world, valid[pick % len(valid)])
     assert len(world.views) <= len(visited)
 
 
-def test_menu_line_is_the_menus_of_its_flags(monkeypatch):
+def test_menu_line_is_the_menus_of_its_flags():
     """For each of the 16 flag sets with both turns valid, menu_line gives
-    the line format_menus makes of action_menus in a state with those flags."""
-    world = generate(0)
+    the line format_menus makes of the valid and invalid menus of those
+    flags, and the valid menu names exactly the actions flagged valid."""
     for flags in itertools.product((False, True), repeat=4):
         validity = (True, True, *flags)
-        monkeypatch.setattr(world_module, "action_validity", lambda w, v=validity: v)
-        assert menu_line(validity) == format_menus(*action_menus(world))
+        assert menu_line(validity) == format_menus(*partition_actions(validity))
         listed = menu_line(validity).split(", invalid_actions=")[0]
         assert [f'"{name}"' in listed for name in world_module.ACTION_NAMES] == list(validity)
 

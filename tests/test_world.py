@@ -18,13 +18,14 @@ from echogrid.world import (
     GenConfig,
     GenerationError,
     Goal,
-    action_menus,
+    action_validity,
     can_enter,
     copy_world,
     free_floor,
     generate,
     goal_satisfied,
     open_doors,
+    partition_actions,
     reset,
     step,
     to_json,
@@ -46,7 +47,10 @@ def test_generate_counts_and_uniqueness(bench_worlds):
 
 def test_generate_objects_on_room_floor(bench_worlds):
     for world in bench_worlds:
-        room_cells = [set(world.room_cells(r)) for r in world.room_layout]
+        room_cells = [
+            {(x, y) for y in range(y0, y1 + 1) for x in range(x0, x1 + 1)}
+            for x0, y0, x1, y1 in world.room_layout
+        ]
         for obj in world.objects:
             assert world.cell(obj.position) == FLOOR
             rooms_holding = [i for i, cells in enumerate(room_cells) if obj.position in cells]
@@ -74,9 +78,9 @@ def test_generate_doors_connect_all_room_pairs(bench_worlds):
             neighbours = [(x - 1, y), (x + 1, y), (x, y - 1), (x, y + 1)]
             rooms = {
                 i
-                for i, room in enumerate(world.room_layout)
-                for n in neighbours
-                if n in set(world.room_cells(room))
+                for i, (x0, y0, x1, y1) in enumerate(world.room_layout)
+                for nx, ny in neighbours
+                if x0 <= nx <= x1 and y0 <= ny <= y1
             }
             assert len(rooms) == 2
             linked.add(frozenset(rooms))
@@ -214,7 +218,7 @@ def test_turns_cycle_facings():
 
 def test_action_menus_facing_wall():
     world = world_from_ascii("#####\n#.@.#\n#####", facing="north")
-    valid, invalid = action_menus(world)
+    valid, invalid = partition_actions(action_validity(world))
     assert invalid[GO_FORWARD] == "go forward"
     assert GO_FORWARD not in valid
 
@@ -223,14 +227,14 @@ def test_action_menus_facing_object():
     world = world_from_ascii(
         "#####\n#@K.#\n#####", facing="east", legend={"K": ("grey", "key")}
     )
-    valid, invalid = action_menus(world)
+    valid, invalid = partition_actions(action_validity(world))
     assert valid[PICK_UP] == "pick up"
     assert GO_FORWARD in invalid, "objects block movement"
 
 
 def test_action_menus_mid_room():
     world = world_from_ascii("#####\n#...#\n#.@.#\n#...#\n#####", facing="north")
-    valid, invalid = action_menus(world)
+    valid, invalid = partition_actions(action_validity(world))
     assert valid == {TURN_LEFT: "turn left", TURN_RIGHT: "turn right", GO_FORWARD: "go forward"}
     assert invalid == {PICK_UP: "pick up", PUT_DOWN: "put down", TOGGLE_DOOR: "toggle door"}
 
@@ -284,7 +288,7 @@ def test_step_validity_matches_action_menus(seed, actions):
     """From every state of a random walk, step's valid flag agrees with the menus."""
     world = generate(seed)
     for action in [*actions, None]:
-        valid_menu = action_menus(world)[0]
+        valid_menu = partition_actions(action_validity(world))[0]
         for a in range(6):
             _, valid = step(copy_world(world), a)
             assert valid == (a in valid_menu), (a, to_json(world))
@@ -338,7 +342,7 @@ def test_stepping_a_copy_leaves_the_original(seed, picks):
     copy = copy_world(original)
     assert to_json(copy) == before
     for pick in picks:
-        valid = sorted(action_menus(copy)[0])
+        valid = sorted(partition_actions(action_validity(copy))[0])
         step(copy, valid[pick % len(valid)])
         assert to_json(original) == before
 
@@ -359,7 +363,7 @@ def test_snapshots_match_pinned_digest():
         digest.update((to_json(world) + "\n").encode())
         rng = SplitMix64(seed)
         for _ in range(40):
-            valid = sorted(action_menus(world)[0])
+            valid = sorted(partition_actions(action_validity(world))[0])
             step(world, valid[rng.randbelow(len(valid))])
         digest.update((to_json(world) + "\n").encode())
         toggled += any(d.state != d.home_state for d in world.doors)
