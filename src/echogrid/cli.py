@@ -170,18 +170,19 @@ def cmd_run(args) -> int:
         if not args.envs:
             raise CliError("provide --envs (or --resume-config)")
         index = _read_index(args.envs)
-        config = RunConfig(
-            env_seeds=tuple(index["seeds"]),
-            episodes_per_env=args.episodes,
-            horizon=args.horizon,
-            strategy=args.strategy,
-            backend=args.backend,
-            goal_seed=args.goal_seed,
-            workers=args.workers,
-        )
+        try:
+            config = RunConfig(
+                env_seeds=tuple(index["seeds"]),
+                episodes_per_env=args.episodes,
+                horizon=args.horizon,
+                strategy=args.strategy,
+                backend=args.backend,
+                goal_seed=args.goal_seed,
+                workers=args.workers,
+            )
+        except ValueError as exc:
+            raise CliError(str(exc)) from None
         _check_envs_current(args.envs, index, config)
-    if config.episodes_per_env <= 0:
-        raise CliError("--episodes must be >= 1")
     out = Path(args.out)
     if out.exists() and (not out.is_dir() or any(out.iterdir())):
         raise CliError(f"--out {out} is not empty; old files would mix with the new run")
@@ -230,6 +231,8 @@ def cmd_eval(args) -> int:
     plot = Path(args.plot) if args.plot else None
     for path in (out, plot):  # both before either file, so a bad path writes neither
         if path is not None:
+            if path.is_dir():
+                raise CliError(f"{path} is a directory")
             path.parent.mkdir(parents=True, exist_ok=True)
     header = "strategy,env_seed,episode,goal,reward,cum_avg_reward,baseline_cum_avg,gain"
     out.write_text("\n".join([header] + rows) + "\n", encoding="utf-8")
@@ -256,11 +259,14 @@ def cmd_validate(args) -> int:
     if not pools:
         print("nothing to validate: the run stored no workflows", file=sys.stderr)
         return 0
-    worlds = {seed: generate(seed, config.gen_config()) for seed in config.env_seeds}
-    report = harness.validity_analysis(
-        pools, worlds, backend_spec, args.samples, sample_seed=args.sample_seed,
-        horizon=config.horizon,
-    )
+    try:
+        worlds = {seed: generate(seed, config.gen_config()) for seed in config.env_seeds}
+        report = harness.validity_analysis(
+            pools, worlds, backend_spec, args.samples, sample_seed=args.sample_seed,
+            horizon=config.horizon,
+        )
+    except ValueError as exc:
+        raise CliError(str(exc)) from None
     pct = 100.0 * report.successes / report.total
     print(f"{report.successes}/{report.total} ({pct:.0f}%) workflows reached their goal")
     for failure in report.failures:

@@ -48,6 +48,12 @@ class RunConfig:
     grid_width: int = 13
     grid_height: int = 13
 
+    def __post_init__(self) -> None:
+        for name in ("episodes_per_env", "horizon", "workers"):  # workers may be None
+            value = getattr(self, name)
+            if value is not None and value < 1:
+                raise ValueError(f"run config {name} must be >= 1, got {value}")
+
     def gen_config(self) -> GenConfig:
         return GenConfig(width=self.grid_width, height=self.grid_height)
 
@@ -99,17 +105,16 @@ _JSON_TYPES = {
 
 
 @dataclass
-class EpisodeResult:
-    trajectory: Trajectory
-    memory_snapshot: dict
-    agent_calls: int  # backend.calls consumed by run_episode
-    strategy_calls: int  # backend.calls consumed by after_episode
-
-
-@dataclass
 class StreamResult:
+    """One env stream's run-dir lines, appended as each of its episodes finishes."""
+
     env_seed: int
-    episodes: list[EpisodeResult]
+    trajectory_lines: list[str] = field(default_factory=list)  # trajectories.jsonl
+    memory_lines: list[str] = field(default_factory=list)  # memory.jsonl
+    goals: list[str] = field(default_factory=list)  # per episode, as metrics.csv writes them
+    rewards: list[int] = field(default_factory=list)
+    steps: list[int] = field(default_factory=list)
+    strategy_calls: int = 0  # backend calls made by after_episode
 
 
 @dataclass
@@ -119,7 +124,6 @@ class RunRecord:
     config: RunConfig
     rewards: dict[int, list[int]]  # env seed -> reward per episode
     goals: dict[int, list[str]]
-    agent_calls: int = 0
     strategy_calls: int = 0
 
 
@@ -175,7 +179,7 @@ def run_env_stream(
     goals = sample_goals(
         world, config.episodes_per_env, _env_goal_seed(config.goal_seed, env_seed)
     )
-    episodes = []
+    stream = StreamResult(env_seed)
     for index, goal in enumerate(goals):
         reset(world)
         policy = ReactPolicy(
@@ -183,11 +187,10 @@ def run_env_stream(
             horizon=config.horizon,
             memory_text=strategy.render_memory(memory),
         )
-        calls_before = backend.calls
         trajectory = run_episode(
             world, goal, policy, config.horizon, env_seed=env_seed, episode_index=index
         )
-        agent_calls = backend.calls - calls_before
+        calls = backend.calls
         try:
             memory = strategy.after_episode(backend, trajectory, memory)
         except BackendError as exc:
@@ -195,15 +198,18 @@ def run_env_stream(
                 "strategy %s failed after episode %d of env %d: %s",
                 config.strategy, index, env_seed, exc,
             )
-        episodes.append(
-            EpisodeResult(
-                trajectory=trajectory,
-                memory_snapshot=strategy.memory_snapshot(memory),
-                agent_calls=agent_calls,
-                strategy_calls=backend.calls - calls_before - agent_calls,
-            )
-        )
-    return StreamResult(env_seed=env_seed, episodes=episodes)
+        stream.strategy_calls += backend.calls - calls
+        stream.trajectory_lines.append(serialize(trajectory) + "\n")
+        snapshot = {
+            "env_seed": env_seed,
+            "episode_index": index,
+            "memory": strategy.memory_snapshot(memory),
+        }
+        stream.memory_lines.append(canonical_json(snapshot) + "\n")
+        stream.goals.append(render_goal(goal))
+        stream.rewards.append(trajectory.reward)
+        stream.steps.append(len(trajectory.steps))
+    return stream
 
 
 def run_stream(config: RunConfig, out_dir: Optional[Path] = None) -> RunRecord:
@@ -223,12 +229,9 @@ def run_stream(config: RunConfig, out_dir: Optional[Path] = None) -> RunRecord:
 
     record = RunRecord(
         config=config,
-        rewards={s.env_seed: [e.trajectory.reward for e in s.episodes] for s in streams},
-        goals={
-            s.env_seed: [render_goal(e.trajectory.goal) for e in s.episodes] for s in streams
-        },
-        agent_calls=sum(e.agent_calls for s in streams for e in s.episodes),
-        strategy_calls=sum(e.strategy_calls for s in streams for e in s.episodes),
+        rewards={s.env_seed: s.rewards for s in streams},
+        goals={s.env_seed: s.goals for s in streams},
+        strategy_calls=sum(s.strategy_calls for s in streams),
     )
     if out_dir is not None:
         write_run_dir(Path(out_dir), config, streams)
@@ -236,30 +239,24 @@ def run_stream(config: RunConfig, out_dir: Optional[Path] = None) -> RunRecord:
 
 
 def write_run_dir(out_dir: Path, config: RunConfig, streams: list[StreamResult]) -> None:
+    """config.json, then each log as the streams' lines in config.env_seeds order."""
     out_dir.mkdir(parents=True, exist_ok=True)
     (out_dir / "config.json").write_text(config.to_json() + "\n", encoding="utf-8")
-    with open(out_dir / "trajectories.jsonl", "w", encoding="utf-8") as traj_fh, open(
-        out_dir / MEMORY_LOG, "w", encoding="utf-8"
-    ) as memory_fh:
-        for stream in streams:
-            for index, episode in enumerate(stream.episodes):
-                traj_fh.write(serialize(episode.trajectory) + "\n")
-                record = {
-                    "env_seed": stream.env_seed,
-                    "episode_index": index,
-                    "memory": episode.memory_snapshot,
-                }
-                memory_fh.write(canonical_json(record) + "\n")
-    with open(out_dir / "metrics.csv", "w", encoding="utf-8") as fh:
-        fh.write(METRICS_HEADER + "\n")
-        for stream in streams:
-            trajectories = [e.trajectory for e in stream.episodes]
-            series = cumulative_average([t.reward for t in trajectories])
-            for index, traj in enumerate(trajectories):
-                fh.write(
-                    f"{stream.env_seed},{index},{render_goal(traj.goal)},"
-                    f"{traj.reward},{len(traj.steps)},{series[index]!r},{config.strategy}\n"
-                )
+    metrics = [METRICS_HEADER + "\n"]
+    for s in streams:
+        rows = zip(s.goals, s.rewards, s.steps, cumulative_average(s.rewards))
+        for index, (goal, reward, steps, cum_avg) in enumerate(rows):
+            metrics.append(
+                f"{s.env_seed},{index},{goal},{reward},{steps},{cum_avg!r},{config.strategy}\n"
+            )
+    logs = {
+        "trajectories.jsonl": [line for s in streams for line in s.trajectory_lines],
+        MEMORY_LOG: [line for s in streams for line in s.memory_lines],
+        "metrics.csv": metrics,
+    }
+    for name, lines in logs.items():
+        with open(out_dir / name, "w", encoding="utf-8") as fh:
+            fh.writelines(lines)
 
 
 def cumulative_average(rewards: list) -> list[float]:

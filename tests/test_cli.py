@@ -1,6 +1,7 @@
 """Command-line surface: flags, exit codes, and reproducible outputs."""
 
 import json
+from pathlib import Path
 
 import pytest
 
@@ -260,20 +261,24 @@ def test_run_refuses_an_out_under_a_file_before_any_stream(tmp_path, capsys, mon
 
 
 def test_eval_with_a_bad_plot_path_writes_no_out_file(tmp_path, capsys):
-    """A --plot path that cannot be created fails before --out is written."""
+    """A --plot path that cannot be written (under a file, or a directory itself)
+    fails before --out is written."""
     envs = _gen(tmp_path)
     run = _run(tmp_path, envs, "r1")
     afile = tmp_path / "afile"
     afile.write_text("not a directory\n")
+    adir = tmp_path / "adir"
+    adir.mkdir()
     out = tmp_path / "e.csv"
     capsys.readouterr()
-    code = main(
-        ["eval", "--runs", str(run), "--baseline", str(run), "--out", str(out),
-         "--plot", str(afile / "c.svg")]
-    )
-    assert code == 1
-    assert capsys.readouterr().err.startswith("error: ")
-    assert not out.exists()
+    for plot in (afile / "c.svg", adir):
+        code = main(
+            ["eval", "--runs", str(run), "--baseline", str(run), "--out", str(out),
+             "--plot", str(plot)]
+        )
+        assert code == 1
+        assert capsys.readouterr().err.startswith("error: ")
+        assert not out.exists()
 
 
 def test_run_missing_env_vars_for_live_backend(tmp_path, capsys, monkeypatch):
@@ -300,6 +305,24 @@ def test_run_rejects_bad_lm_rpm(tmp_path, capsys, monkeypatch):
         assert code == 1
         assert "LM_RPM" in capsys.readouterr().err
         assert not out.exists()
+
+
+def test_live_run_with_horizon_0_creates_no_out(tmp_path, capsys, monkeypatch):
+    """A live run config out of range exits 1 before the call mirror creates
+    --out; no request is sent."""
+    monkeypatch.setenv("LM_BASE_URL", "http://127.0.0.1:9")
+    monkeypatch.setenv("LM_API_KEY", "test-key")
+    monkeypatch.setenv("LM_MODEL", "test-model")
+    monkeypatch.delenv("LM_RPM", raising=False)
+    envs = _gen(tmp_path)
+    out = tmp_path / "r"
+    capsys.readouterr()
+    code = main(
+        ["run", "--envs", str(envs), "--backend", "live", "--horizon", "0", "--out", str(out)]
+    )
+    assert code == 1
+    assert capsys.readouterr().err.startswith("error: run config horizon must be >= 1")
+    assert not out.exists()
 
 
 @pytest.mark.parametrize(
@@ -606,7 +629,18 @@ def test_no_bad_invocation_ends_in_a_traceback(tmp_path, capsys, monkeypatch):
     run = _run(tmp_path, envs, "echo", "--strategy", "echo", "--backend", "scripted:bfs-demo")
     afile = tmp_path / "afile"
     afile.write_text("not a directory\n")
+    adir = tmp_path / "adir"
+    adir.mkdir()
     fresh = str(tmp_path / "fresh")
+    bad = {}  # a copy of run whose config.json holds one value a run cannot use
+    for field, value in (("horizon", 0), ("episodes_per_env", 0), ("grid_width", 12)):
+        bad[field] = tmp_path / f"bad-{field}"
+        bad[field].mkdir()
+        for name in ("memory.jsonl", "metrics.csv", "trajectories.jsonl"):
+            (bad[field] / name).write_bytes((run / name).read_bytes())
+        config = json.loads((run / "config.json").read_text())
+        config[field] = value
+        (bad[field] / "config.json").write_text(json.dumps(config) + "\n")
     cases = [
         (["gen", "--count", "2", "--out", f"{afile}/sub"], 1),
         (["gen", "--count", "2", "--out", str(afile)], 1),
@@ -619,6 +653,11 @@ def test_no_bad_invocation_ends_in_a_traceback(tmp_path, capsys, monkeypatch):
         (["run", "--envs", str(envs), "--backend", "live", "--out", fresh], 1),
         (["run", "--resume-config", str(afile), "--out", fresh], 1),
         (["run", "--envs", str(envs), "--episodes", "x", "--out", fresh], 2),
+        (["run", "--envs", str(envs), "--episodes", "0", "--out", fresh], 1),
+        (["run", "--envs", str(envs), "--workers", "0", "--out", fresh], 1),
+        (["run", "--envs", str(envs), "--workers", "-3", "--out", fresh], 1),
+        (["run", "--envs", str(envs), "--backend", "live", "--horizon", "0", "--out", fresh], 1),
+        (["run", "--resume-config", str(bad["horizon"] / "config.json"), "--out", fresh], 1),
         (["eval", "--runs", str(run), "--baseline", str(run), "--out", f"{afile}/x.csv"], 1),
         (["eval", "--runs", str(afile), "--baseline", str(run), "--out", f"{fresh}.csv"], 1),
         (
@@ -626,11 +665,18 @@ def test_no_bad_invocation_ends_in_a_traceback(tmp_path, capsys, monkeypatch):
              "--plot", f"{afile}/curves.svg"],
             1,
         ),
+        (
+            ["eval", "--runs", str(run), "--baseline", str(run), "--out", f"{fresh}.csv",
+             "--plot", str(adir)],
+            1,
+        ),
+        (["eval", "--runs", str(bad["horizon"]), "--baseline", str(run), "--out", f"{fresh}.csv"], 1),
         (["validate", "--run", str(run), "--backend", "nope"], 1),
         (["validate", "--run", str(run), "--backend", "live"], 1),
         (["validate", "--run", str(afile)], 1),
         (["validate", "--run", fresh], 1),
         (["validate"], 2),
+        *((["validate", "--run", str(path)], 1) for path in bad.values()),
         (["replay", "--trajectory", str(afile)], 1),
         (["replay", "--trajectory", str(run)], 1),
         (["replay", "--trajectory", str(run / "trajectories.jsonl"), "--index", "99"], 1),
@@ -643,3 +689,4 @@ def test_no_bad_invocation_ends_in_a_traceback(tmp_path, capsys, monkeypatch):
         err = capsys.readouterr().err
         assert (err.startswith("error: ") if code == 1 else "error: " in err), (argv, err)
         assert "Traceback" not in err
+        assert not Path(fresh).exists() and not Path(f"{fresh}.csv").exists(), argv
