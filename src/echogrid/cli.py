@@ -10,12 +10,13 @@ from __future__ import annotations
 import argparse
 import json
 import sys
+from dataclasses import dataclass
 from functools import cache
 from pathlib import Path
 
 from . import harness
 from .episode import read_trajectories
-from .harness import SEED_LIST, RunConfig, is_seed_list, load_run_record, load_validity_pools
+from .harness import SEED_LIST, RunConfig, distinct_seeds, load_run_record, load_validity_pools
 from .lm import BackendError, LiveBackend
 from .strategies import STRATEGIES
 from .textview import render_goal
@@ -25,6 +26,7 @@ from .world import (
     GenerationError,
     ascii_map,
     canonical_json,
+    decode,
     generate,
     to_json,
 )
@@ -34,6 +36,15 @@ INDEX_FILE = "index.json"
 
 class CliError(Exception):
     """Configuration or IO error; maps to exit code 1."""
+
+
+@dataclass(frozen=True)
+class EnvsIndex:
+    """index.json of a gen output dir: its world seeds and their grid size."""
+
+    seeds: tuple[int, ...]
+    width: int
+    height: int
 
 
 @cache  # built once: parse_args leaves a parser as it found it
@@ -90,7 +101,7 @@ def cmd_gen(args) -> int:
         seeds = list(range(args.base_seed, args.base_seed + args.count))
     elif args.seeds:
         seeds = list(args.seeds)
-        if not is_seed_list(seeds):
+        if not distinct_seeds(seeds):
             raise CliError(f"--seeds needs {SEED_LIST}")
     else:
         raise CliError("provide --seeds or --count")
@@ -99,7 +110,7 @@ def cmd_gen(args) -> int:
         raise CliError(f"output dir {out} is not empty (use --force)")
     out.mkdir(parents=True, exist_ok=True)
     config = GenConfig()
-    index = {"seeds": seeds, "width": config.width, "height": config.height}
+    index = EnvsIndex(tuple(seeds), config.width, config.height)
     for seed in seeds:
         try:
             world = generate(seed, config)
@@ -113,28 +124,26 @@ def cmd_gen(args) -> int:
     return 0
 
 
-def _read_index(envs_dir: str) -> dict:
+def _read_index(envs_dir: str) -> EnvsIndex:
     """index.json of a gen output dir, with its seeds checked."""
     index_path = Path(envs_dir) / INDEX_FILE
     if not index_path.is_file():
         raise CliError(f"{envs_dir} has no {INDEX_FILE}; run gen first")
     try:
-        index = json.loads(index_path.read_text(encoding="utf-8"))
+        index = decode(EnvsIndex, json.loads(index_path.read_text(encoding="utf-8")), "index")
     except ValueError as exc:
-        raise CliError(f"{index_path} is not valid JSON: {exc}") from None
-    seeds = index.get("seeds") if isinstance(index, dict) else None
-    if not is_seed_list(seeds):
+        raise CliError(f"{index_path}: {exc}") from None
+    if not distinct_seeds(index.seeds):
         raise CliError(f"{index_path} needs \"seeds\": {SEED_LIST}")
     return index
 
 
-def _check_envs_current(envs_dir: str, index: dict, config: RunConfig) -> None:
+def _check_envs_current(envs_dir: str, index: EnvsIndex, config: RunConfig) -> None:
     """Fail unless the envs dir holds what generate builds for this config now,
     so a generator change between gen and run cannot go unnoticed."""
-    size = (index.get("width"), index.get("height"))
-    if size != (config.grid_width, config.grid_height):
+    if (index.width, index.height) != (config.grid_width, config.grid_height):
         raise CliError(
-            f"{Path(envs_dir) / INDEX_FILE} gives a {size[0]}x{size[1]} grid; "
+            f"{Path(envs_dir) / INDEX_FILE} gives a {index.width}x{index.height} grid; "
             f"the run uses {config.grid_width}x{config.grid_height}"
         )
     for seed in config.env_seeds:
@@ -172,7 +181,7 @@ def cmd_run(args) -> int:
         index = _read_index(args.envs)
         try:
             config = RunConfig(
-                env_seeds=tuple(index["seeds"]),
+                env_seeds=index.seeds,
                 episodes_per_env=args.episodes,
                 horizon=args.horizon,
                 strategy=args.strategy,
@@ -216,6 +225,8 @@ def cmd_eval(args) -> int:
             gain = harness.gain_over_baseline(method, baseline)
         except ValueError as exc:
             raise CliError(str(exc)) from None
+        if method.config.strategy in curves:
+            raise CliError(f"--runs holds two {method.config.strategy} runs; eval keys by strategy")
         curves[method.config.strategy] = gain
         for env_seed in method.rewards:
             m_series = harness.cumulative_average(method.rewards[env_seed])
@@ -253,7 +264,7 @@ def cmd_validate(args) -> int:
     backend_spec = args.backend or config.backend
     _check_backend(backend_spec)
     try:
-        pools = load_validity_pools(run_dir, config.env_seeds)
+        pools = load_validity_pools(run_dir, config)
     except ValueError as exc:
         raise CliError(str(exc)) from None
     if not pools:

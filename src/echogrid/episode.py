@@ -9,11 +9,13 @@ the horizon.
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass, field, fields
+from dataclasses import dataclass, field
 from typing import Iterator, Protocol
 
 from .textview import Observation, render, render_goal
-from .world import ACTION_NAMES, Goal, GridWorld, canonical_json, check_goal, goal_satisfied, step
+from .world import (
+    ACTION_NAMES, Goal, GridWorld, canonical_json, check_goal, decode, goal_satisfied, step,
+)
 
 TRAJECTORY_SCHEMA_VERSION = 1
 
@@ -119,39 +121,6 @@ def serialize(traj: Trajectory) -> str:
     return canonical_json({"version": TRAJECTORY_SCHEMA_VERSION, **vars(traj)})
 
 
-# The JSON type of each field, from its annotation, looked up once here
-# rather than per record. note is the one field a record may leave out.
-_JSON_TYPES = {"str": str, "int": int, "bool": bool, "Goal": dict, "list[StepRecord]": list}
-_GOAL_FIELDS, _STEP_FIELDS, _TRAJECTORY_FIELDS = (
-    tuple((f.name, _JSON_TYPES[f.type]) for f in fields(cls))
-    for cls in (Goal, StepRecord, Trajectory)
-)
-
-
-def _field_values(doc, spec, where: str) -> list:
-    """doc's values of spec's fields in order, each of exactly its JSON type
-    (so neither an int for a bool nor a bool for an int)."""
-    if not isinstance(doc, dict):
-        raise ValueError(f"{where} is not an object")
-    for name, kind in spec:
-        if name not in doc:
-            raise ValueError(f"missing field {where}.{name}")
-        if type(doc[name]) is not kind:
-            got = type(doc[name]).__name__
-            raise ValueError(f"{where}.{name} must be {kind.__name__}, got {got}")
-    return [doc[name] for name, _ in spec]
-
-
-def _step(doc, index: int) -> StepRecord:
-    step = StepRecord(*_field_values(doc, _STEP_FIELDS, f"steps[{index}]"))
-    if not 0 <= step.action_index < len(ACTION_NAMES):
-        raise ValueError(
-            f"steps[{index}].action_index must be 0..{len(ACTION_NAMES) - 1}, "
-            f"got {step.action_index}"
-        )
-    return step
-
-
 def deserialize(record: str) -> Trajectory:
     """Trajectory of one record; unknown keys are ignored at every level."""
     try:
@@ -160,16 +129,18 @@ def deserialize(record: str) -> Trajectory:
         raise ValueError(f"malformed trajectory record: {exc}") from None
     if not isinstance(doc, dict) or doc.get("version") != TRAJECTORY_SCHEMA_VERSION:
         raise ValueError("unsupported or missing trajectory schema version")
-    doc.setdefault("note", "")
+    doc.setdefault("note", "")  # the one field a record may leave out
     try:
-        goal, steps, *scalars = _field_values(doc, _TRAJECTORY_FIELDS, "record")
-        return Trajectory(
-            Goal(*_field_values(goal, _GOAL_FIELDS, "goal")),
-            [_step(s, i) for i, s in enumerate(steps)],
-            *scalars,
-        )
+        traj = decode(Trajectory, doc, "record")
+        for index, rec in enumerate(traj.steps):
+            if not 0 <= rec.action_index < len(ACTION_NAMES):
+                raise ValueError(
+                    f"record.steps[{index}].action_index must be 0..{len(ACTION_NAMES) - 1}, "
+                    f"got {rec.action_index}"
+                )
     except ValueError as exc:
         raise ValueError(f"malformed trajectory record: {exc}") from None
+    return traj
 
 
 def read_trajectories(path) -> Iterator[Trajectory]:

@@ -22,9 +22,9 @@ from .lm import BackendError, LiveBackend
 from .oracle import DemoBackend, OracleBackend, TurnLeftBackend
 from .policy import ReactPolicy
 from .rng import SplitMix64, stage_stream
-from .strategies import check_snapshot, get_strategy, render_workflows, workflow_pairs
+from .strategies import get_strategy, render_workflows
 from .textview import canonical_goal, parse_goal, render_goal
-from .world import GenConfig, Goal, GridWorld, canonical_json, check_goal, generate, reset
+from .world import GenConfig, Goal, GridWorld, canonical_json, check_goal, decode, generate, reset
 
 logger = logging.getLogger(__name__)
 
@@ -34,6 +34,7 @@ MEMORY_LOG = "memory.jsonl"  # one snapshot line per episode, in trajectories.js
 
 SCRIPTED_BACKENDS = ("scripted:turn-left", "scripted:oracle", "scripted:bfs-demo")
 MAX_DEFAULT_WORKERS = 8  # so a long seed list does not start one thread per env by default
+SEED_LIST = "a non-empty list of distinct integers"
 
 
 @dataclass(frozen=True)
@@ -49,10 +50,13 @@ class RunConfig:
     grid_height: int = 13
 
     def __post_init__(self) -> None:
+        if not distinct_seeds(self.env_seeds):
+            raise ValueError(f"run config env_seeds must be {SEED_LIST}, got {self.env_seeds}")
         for name in ("episodes_per_env", "horizon", "workers"):  # workers may be None
             value = getattr(self, name)
             if value is not None and value < 1:
                 raise ValueError(f"run config {name} must be >= 1, got {value}")
+        self.gen_config()  # a grid generate cannot build raises here
 
     def gen_config(self) -> GenConfig:
         return GenConfig(width=self.grid_width, height=self.grid_height)
@@ -73,35 +77,12 @@ class RunConfig:
                 f"run config keys: missing {sorted(names - set(doc))}, "
                 f"unknown {sorted(set(doc) - names)}"
             )
-        for f in fields(cls):
-            check, expected = _JSON_TYPES[f.type]
-            if not check(doc[f.name]):
-                raise ValueError(f"run config {f.name} must be {expected}, got {doc[f.name]!r}")
-        doc["env_seeds"] = tuple(doc["env_seeds"])
-        return cls(**doc)
+        return decode(cls, doc, "config")
 
 
-SEED_LIST = "a non-empty list of distinct integers"
-
-
-def is_seed_list(value) -> bool:
-    """Env seeds as stored in JSON: a non-empty list of distinct integers (not
-    bools). A repeated seed would run its stream twice under one key."""
-    return (
-        isinstance(value, list)
-        and bool(value)
-        and all(type(v) is int for v in value)
-        and len(set(value)) == len(value)
-    )
-
-
-# RunConfig field annotation -> (check of its JSON value, what the check wants).
-_JSON_TYPES = {
-    "tuple[int, ...]": (is_seed_list, SEED_LIST),
-    "int": (lambda v: type(v) is int, "an integer"),
-    "Optional[int]": (lambda v: v is None or type(v) is int, "an integer or null"),
-    "str": (lambda v: type(v) is str, "a string"),
-}
+def distinct_seeds(seeds) -> bool:
+    """Whether seeds are SEED_LIST: a repeated seed would run two streams as one."""
+    return len(set(seeds)) == len(seeds) > 0
 
 
 @dataclass
@@ -115,6 +96,15 @@ class StreamResult:
     rewards: list[int] = field(default_factory=list)
     steps: list[int] = field(default_factory=list)
     strategy_calls: int = 0  # backend calls made by after_episode
+
+
+@dataclass
+class MemoryRecord:
+    """One memory.jsonl line: an env's memory snapshot after one episode."""
+
+    env_seed: int
+    episode_index: int
+    memory: dict  # Strategy.memory_snapshot's document
 
 
 @dataclass
@@ -200,11 +190,7 @@ def run_env_stream(
             )
         stream.strategy_calls += backend.calls - calls
         stream.trajectory_lines.append(serialize(trajectory) + "\n")
-        snapshot = {
-            "env_seed": env_seed,
-            "episode_index": index,
-            "memory": strategy.memory_snapshot(memory),
-        }
+        snapshot = MemoryRecord(env_seed, index, strategy.memory_snapshot(memory))
         stream.memory_lines.append(canonical_json(snapshot) + "\n")
         stream.goals.append(render_goal(goal))
         stream.rewards.append(trajectory.reward)
@@ -429,45 +415,27 @@ def load_run_record(run_dir: Path) -> RunRecord:
     return RunRecord(config=config, rewards=rewards, goals=goals)
 
 
-def _memory_record(line: bytes, env_seeds) -> tuple[int, dict]:
-    """(env seed, snapshot document) of one memory.jsonl line, every field checked."""
-    try:
-        doc = json.loads(line.decode("utf-8"))
-    except (ValueError, RecursionError) as exc:
-        raise ValueError(f"not valid JSON ({exc})") from None
-    if not isinstance(doc, dict):
-        raise ValueError("not a JSON object")
-    env_seed = doc.get("env_seed")
-    if type(env_seed) is not int or env_seed not in env_seeds:
-        raise ValueError(f"env_seed {env_seed!r} is not an env seed of config.json")
-    if type(doc.get("episode_index")) is not int:
-        raise ValueError(f"episode_index must be an integer, got {doc.get('episode_index')!r}")
-    check_snapshot(doc.get("memory"))
-    return env_seed, doc["memory"]
-
-
-def load_validity_pools(run_dir: Path, env_seeds) -> dict[int, list[tuple[str, str]]]:
+def load_validity_pools(run_dir: Path, config: RunConfig) -> dict[int, list[tuple[str, str]]]:
     """Final-episode (goal, workflow) pairs per env of a saved run.
 
     The final episode of an env is its last line in memory.jsonl. A line that
-    is not a snapshot record of one of env_seeds raises ValueError naming the
-    file and line; a missing file raises OSError.
+    is not a memory record of an env seed of config, loaded by its strategy's
+    load_snapshot, raises ValueError naming the file and line; a missing file
+    raises OSError.
     """
     path = Path(run_dir) / MEMORY_LOG
-    last: dict[int, dict] = {}
+    strategy = get_strategy(config.strategy)
+    last = {}
     with open(path, "rb") as fh:
         for lineno, line in enumerate(fh, start=1):
             try:
-                env_seed, snapshot = _memory_record(line, env_seeds)
-            except ValueError as exc:
+                record = decode(MemoryRecord, json.loads(line.decode("utf-8")), "record")
+                if record.env_seed not in config.env_seeds:
+                    raise ValueError(f"env_seed {record.env_seed} is not in config.json")
+                last[record.env_seed] = strategy.workflows(strategy.load_snapshot(record.memory))
+            except (ValueError, RecursionError) as exc:
                 raise ValueError(f"{path}:{lineno}: {exc}") from None
-            last[env_seed] = snapshot
-    pools = {}
-    for env_seed in sorted(last):
-        pairs = workflow_pairs(last[env_seed])
-        if pairs:
-            pools[env_seed] = pairs
-    return pools
+    return {seed: pairs for seed, pairs in sorted(last.items()) if pairs}
 
 
 # ---------------------------------------------------------------------------

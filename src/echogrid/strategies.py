@@ -25,6 +25,7 @@ from . import prompts
 from .episode import Trajectory, format_trajectory
 from .lm import LMBackend, LMRequest, ParseError, parse_json_payload, parse_summary
 from .textview import canonical_goal
+from .world import decode
 
 logger = logging.getLogger(__name__)
 
@@ -150,29 +151,36 @@ class Strategy:
                 memory.append(candidate)
         return memory
 
-    def _pairs(self, memory):
-        return memory.entries.items() if self.memory == "replay_buffer" else memory
+    def workflows(self, memory) -> list[tuple[str, str]]:
+        """The (goal, workflow) pairs memory holds; notes and no memory hold none."""
+        if self.memory in ("none", "semantic"):
+            return []
+        return list(memory.entries.items() if self.memory == "replay_buffer" else memory)
 
     def render_memory(self, memory) -> str:
         if not memory:
             return ""
         if self.memory == "semantic":
             return "\n".join(["Notes from previous episodes:"] + memory)
-        return render_workflows(self._pairs(memory))
+        return render_workflows(self.workflows(memory))
 
     def memory_snapshot(self, memory) -> dict:
         if self.memory == "none":
             return {"kind": "none"}
         if self.memory == "semantic":
             return {"kind": "semantic", "reflections": list(memory)}
-        return {"kind": self.memory, "entries": [[g, w] for g, w in self._pairs(memory)]}
+        return {"kind": self.memory, "entries": [[g, w] for g, w in self.workflows(memory)]}
 
     def load_snapshot(self, doc: dict):
+        """Memory of a snapshot document; ValueError unless memory_snapshot
+        of this strategy's memory kind could have written it."""
+        if (kind := doc.get("kind")) != self.memory:
+            raise ValueError(f"memory kind {kind!r} is not {self.name}'s {self.memory!r}")
         if self.memory == "none":
             return None
         if self.memory == "semantic":
-            return list(doc["reflections"])
-        pairs = [(g, w) for g, w in doc["entries"]]
+            return decode(list[str], doc.get("reflections"), "memory.reflections")
+        pairs = decode(list[tuple[str, str]], doc.get("entries"), "memory.entries")
         return ReplayBuffer(entries=dict(pairs)) if self.memory == "replay_buffer" else pairs
 
 
@@ -195,30 +203,3 @@ def get_strategy(name: str) -> Strategy:
         raise ValueError(
             f"unknown strategy {name!r}; expected one of {sorted(STRATEGIES)}"
         ) from None
-
-
-def _is_text_list(value) -> bool:
-    return isinstance(value, list) and all(isinstance(v, str) for v in value)
-
-
-def check_snapshot(doc) -> None:
-    """Raise ValueError unless doc is a snapshot document memory_snapshot could write."""
-    if not isinstance(doc, dict):
-        raise ValueError("memory is not an object")
-    kind = doc.get("kind")
-    if kind not in {s.memory for s in STRATEGIES.values()}:
-        raise ValueError(f"unknown memory kind {kind!r}")
-    if kind == "semantic" and not _is_text_list(doc.get("reflections")):
-        raise ValueError("semantic reflections must be a list of strings")
-    entries = doc.get("entries")
-    if kind in ("replay_buffer", "workflow_log") and not (
-        isinstance(entries, list) and all(_is_text_list(e) and len(e) == 2 for e in entries)
-    ):
-        raise ValueError(f"{kind} entries must be [goal, workflow] pairs of strings")
-
-
-def workflow_pairs(snapshot: dict) -> list[tuple[str, str]]:
-    """(goal, workflow) pairs from a memory snapshot document, if any."""
-    if snapshot.get("kind") in ("replay_buffer", "workflow_log"):
-        return [(g, w) for g, w in snapshot["entries"]]
-    return []

@@ -21,8 +21,10 @@ Coordinates are (x, y) with x growing east and y growing south; north is -y.
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass, field
-from typing import Optional
+from dataclasses import dataclass, field, fields, is_dataclass
+from functools import cache
+from itertools import repeat
+from typing import Optional, Union, get_args, get_origin, get_type_hints
 
 from .rng import stage_stream
 
@@ -80,6 +82,11 @@ class Goal:
 class GenConfig:
     width: int = 13
     height: int = 13
+
+    def __post_init__(self) -> None:
+        w, h = self.width, self.height
+        if w % 2 == 0 or h % 2 == 0 or w < 7 or h < 7:
+            raise GenerationError(f"grid {w}x{h} cannot host 2x2 rooms; need odd width/height >= 7")
 
 
 @dataclass
@@ -151,12 +158,8 @@ class GridWorld:
 
 
 def _layout(config: GenConfig):
-    """Static wall layout for the 2x2 partition; raises on impossible sizes."""
+    """Static wall layout for the 2x2 partition of a size GenConfig accepts."""
     w, h = config.width, config.height
-    if w % 2 == 0 or h % 2 == 0 or w < 7 or h < 7:
-        raise GenerationError(
-            f"grid {w}x{h} cannot host 2x2 rooms; need odd width/height >= 7"
-        )
     mid_x, mid_y = w // 2, h // 2
     rows = []
     for y in range(h):
@@ -390,8 +393,72 @@ _canonical_encode = json.JSONEncoder(
 def canonical_json(doc) -> str:
     """Canonical JSON: sorted keys, compact separators, each dataclass as its
     fields. World snapshots, index.json, trajectories, run configs and memory
-    snapshots are all written through it."""
+    snapshots are all written through it, and read back through decode."""
     return _canonical_encode(doc)
+
+
+class _Mismatch(Exception):
+    """args: (problem, path keys innermost first); path text is built only on failure."""
+
+
+def decode(kind, value, where: str):
+    """kind built from value, a parsed JSON document, by kind's annotations:
+    str, int and bool exactly (a bool is not an int), dict from any object,
+    list[X], tuple[X, ...] and tuple[X, Y] from arrays, Optional[X] also from
+    null, and a dataclass from an object holding every field, unknown keys
+    ignored. A mismatch raises ValueError naming its path from where, e.g.
+    "record.steps[0].was_valid must be bool, got int"."""
+    try:
+        return _read_all([(0, _reader(kind))], [value])[0]
+    except _Mismatch as exc:
+        keys = reversed(exc.args[1][:-1])  # the last key is the 0 above
+        path = "".join(f"[{k}]" if type(k) is int else f".{k}" for k in keys)
+        raise ValueError(f"{where}{path} {exc.args[0]}") from None
+
+
+@cache  # one reader per annotation, compiled on first use, never at import
+def _reader(kind) -> tuple:
+    """(JSON types kind takes, their name, build): build makes kind from a
+    value of those types, or is None where the value is kept as it is."""
+    origin, args = get_origin(kind), get_args(kind)
+    if origin is Union:  # Optional[X]
+        types, name, build = _reader(args[0])
+        some = build and (lambda value: None if value is None else build(value))
+        return (*types, type(None)), f"{name} or null", some
+    if is_dataclass(kind):
+        hints = get_type_hints(kind)
+        spec = [(f.name, _reader(hints[f.name])) for f in fields(kind)]
+        return (dict,), "object", lambda doc: kind(*_read_all(spec, doc))
+    if origin in (list, tuple):
+        fixed = origin is tuple and args[-1] is not Ellipsis  # tuple[X, Y]
+        readers = [_reader(arg) for arg in (args if fixed else args[:1])]
+
+        def build_array(items):
+            if fixed and len(items) != len(readers):
+                raise _Mismatch(f"must be list of {len(readers)}, got list of {len(items)}", [])
+            spec = enumerate(readers if fixed else repeat(readers[0], len(items)))
+            return origin(_read_all(spec, items))
+
+        return (list,), f"list of {len(args)}" if fixed else "list", build_array
+    return (kind,), "object" if kind is dict else kind.__name__, None
+
+
+def _read_all(spec, doc) -> list:
+    """doc[key] read by reader for each (key, reader) of spec, or a mismatch at key."""
+    values = []
+    try:
+        for key, (types, name, build) in spec:
+            value = doc[key]
+            if type(value) not in types:
+                got = f"list of {len(value)}" if type(value) is list else type(value).__name__
+                raise _Mismatch(f"must be {name}, got {got}", [])
+            values.append(value if build is None else build(value))
+    except KeyError:
+        raise _Mismatch("is missing", [key]) from None
+    except _Mismatch as exc:
+        exc.args[1].append(key)
+        raise
+    return values
 
 
 def to_json(world: GridWorld) -> str:

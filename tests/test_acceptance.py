@@ -143,8 +143,9 @@ def test_criterion_5_sample_efficiency_demonstration(tmp_path):
 
 
 def test_criterion_6_validity_harness(tmp_path):
-    run_stream(_paper_scale_config("echo", "scripted:bfs-demo"), out_dir=tmp_path / "run")
-    pools = load_validity_pools(tmp_path / "run", PAPER_SCALE_SEEDS)
+    config = _paper_scale_config("echo", "scripted:bfs-demo")
+    run_stream(config, out_dir=tmp_path / "run")
+    pools = load_validity_pools(tmp_path / "run", config)
     assert sum(len(p) for p in pools.values()) == 40, "4 workflows per env over 10 envs"
     worlds = {seed: generate(seed) for seed in PAPER_SCALE_SEEDS}
     report = validity_analysis(pools, worlds, "scripted:bfs-demo", n_samples=40)

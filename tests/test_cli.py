@@ -7,6 +7,7 @@ import pytest
 
 from echogrid.cli import main
 from echogrid.episode import Trajectory, serialize
+from echogrid.harness import RunConfig
 from echogrid.world import Goal
 
 
@@ -308,21 +309,27 @@ def test_run_rejects_bad_lm_rpm(tmp_path, capsys, monkeypatch):
 
 
 def test_live_run_with_horizon_0_creates_no_out(tmp_path, capsys, monkeypatch):
-    """A live run config out of range exits 1 before the call mirror creates
-    --out; no request is sent."""
+    """A live run config out of range, or with a grid generate cannot build,
+    exits 1 before the call mirror creates --out; no request is sent."""
     monkeypatch.setenv("LM_BASE_URL", "http://127.0.0.1:9")
     monkeypatch.setenv("LM_API_KEY", "test-key")
     monkeypatch.setenv("LM_MODEL", "test-model")
     monkeypatch.delenv("LM_RPM", raising=False)
     envs = _gen(tmp_path)
+    grid_12 = json.loads(RunConfig(env_seeds=(0, 1), backend="live").to_json())
+    grid_12["grid_width"] = 12
+    (tmp_path / "grid_12.json").write_text(json.dumps(grid_12))
     out = tmp_path / "r"
     capsys.readouterr()
-    code = main(
-        ["run", "--envs", str(envs), "--backend", "live", "--horizon", "0", "--out", str(out)]
-    )
-    assert code == 1
-    assert capsys.readouterr().err.startswith("error: run config horizon must be >= 1")
-    assert not out.exists()
+    for source, message in (
+        (["--envs", str(envs), "--backend", "live", "--horizon", "0"],
+         "run config horizon must be >= 1"),
+        (["--resume-config", str(tmp_path / "grid_12.json")],
+         "cannot load config: grid 12x13 cannot host 2x2 rooms"),
+    ):
+        assert main(["run", *source, "--out", str(out)]) == 1
+        assert capsys.readouterr().err.startswith(f"error: {message}")
+        assert not out.exists()
 
 
 @pytest.mark.parametrize(
@@ -559,6 +566,12 @@ def _last_line_memory(memory):
             id="one_element_entry",
         ),
         pytest.param(_last_line_memory({"kind": "notes"}), ":12: ", id="unknown_kind"),
+        pytest.param(
+            _last_line_memory({"kind": "workflow_log", "entries": []}),
+            ":12: ",
+            id="another_strategys_kind",
+        ),
+        pytest.param(_last_line_memory({"kind": "none"}), ":12: ", id="no_memory_kind"),
         pytest.param(_last_line_memory([]), ":12: ", id="memory_not_an_object"),
         pytest.param(None, ": No such file", id="missing"),
     ],
@@ -671,6 +684,11 @@ def test_no_bad_invocation_ends_in_a_traceback(tmp_path, capsys, monkeypatch):
             1,
         ),
         (["eval", "--runs", str(bad["horizon"]), "--baseline", str(run), "--out", f"{fresh}.csv"], 1),
+        (
+            ["eval", "--runs", str(run), str(run), "--baseline", str(run), "--out", f"{fresh}.csv",
+             "--plot", f"{fresh}/curves.svg"],
+            1,
+        ),
         (["validate", "--run", str(run), "--backend", "nope"], 1),
         (["validate", "--run", str(run), "--backend", "live"], 1),
         (["validate", "--run", str(afile)], 1),

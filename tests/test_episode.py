@@ -273,20 +273,22 @@ def test_deserialize_rejects(tmp_path, capsys, edit):
     [
         pytest.param(
             lambda d: d["steps"][0].update(action_index=9),
-            "steps[0].action_index must be 0..5, got 9",
+            "record.steps[0].action_index must be 0..5, got 9",
             id="action_9",
         ),
         pytest.param(
             lambda d: d["steps"][0].update(was_valid=1),
-            "steps[0].was_valid must be bool, got int",
+            "record.steps[0].was_valid must be bool, got int",
             id="was_valid_int",
         ),
         pytest.param(
-            lambda d: d["steps"].append("step"), "steps[1] is not an object", id="step_str"
+            lambda d: d["steps"].append("step"),
+            "record.steps[1] must be object, got str",
+            id="step_str",
         ),
         pytest.param(
             lambda d: d["steps"][0].pop("thought"),
-            "missing field steps[0].thought",
+            "record.steps[0].thought is missing",
             id="no_thought",
         ),
         pytest.param(
@@ -295,7 +297,9 @@ def test_deserialize_rejects(tmp_path, capsys, edit):
             id="env_seed_bool",
         ),
         pytest.param(
-            lambda d: d["goal"].update(kind=5), "goal.kind must be str, got int", id="goal_kind_int"
+            lambda d: d["goal"].update(kind=5),
+            "record.goal.kind must be str, got int",
+            id="goal_kind_int",
         ),
     ],
 )

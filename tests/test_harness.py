@@ -289,7 +289,7 @@ def test_validity_analysis_bfs_backed_is_perfect(tmp_path):
         env_seeds=(0, 1, 2), episodes_per_env=3, strategy="echo", backend="scripted:bfs-demo"
     )
     run_stream(config, out_dir=tmp_path / "run")
-    pools = load_validity_pools(tmp_path / "run", config.env_seeds)
+    pools = load_validity_pools(tmp_path / "run", config)
     assert pools, "echo stored workflows"
     worlds = {seed: generate(seed) for seed in (0, 1, 2)}
     report = validity_analysis(pools, worlds, "scripted:bfs-demo", n_samples=40)
@@ -308,7 +308,7 @@ def test_validity_analysis_builds_one_backend_per_env(tmp_path, monkeypatch):
         env_seeds=(0, 1, 2), episodes_per_env=3, strategy="echo", backend="scripted:bfs-demo"
     )
     run_stream(config, out_dir=tmp_path / "run")
-    pools = load_validity_pools(tmp_path / "run", config.env_seeds)
+    pools = load_validity_pools(tmp_path / "run", config)
     worlds = {seed: generate(seed) for seed in (0, 1, 2)}
     # Add a pair that deviates (a valid route that stops short) and, for env 1,
     # a hallucinated goal, so the report holds both failure classes.
@@ -354,7 +354,7 @@ def test_validity_analysis_sampling_is_deterministic(tmp_path):
         env_seeds=(0, 1, 2), episodes_per_env=2, strategy="echo", backend="scripted:bfs-demo"
     )
     run_stream(config, out_dir=tmp_path / "run")
-    pools = load_validity_pools(tmp_path / "run", config.env_seeds)
+    pools = load_validity_pools(tmp_path / "run", config)
     worlds = {seed: generate(seed) for seed in (0, 1, 2)}
     first = validity_analysis(pools, worlds, "scripted:bfs-demo", n_samples=5, sample_seed=3)
     second = validity_analysis(pools, worlds, "scripted:bfs-demo", n_samples=5, sample_seed=3)
