@@ -57,6 +57,7 @@ class RunConfig:
             if value is not None and value < 1:
                 raise ValueError(f"run config {name} must be >= 1, got {value}")
         self.gen_config()  # a grid generate cannot build raises here
+        get_strategy(self.strategy)  # so does an unknown strategy
 
     def gen_config(self) -> GenConfig:
         return GenConfig(width=self.grid_width, height=self.grid_height)
@@ -163,38 +164,41 @@ def run_env_stream(
 ) -> StreamResult:
     """All episodes for one env; memory evolves strictly in order."""
     world = generate(env_seed, config.gen_config())
-    backend = make_backend(config.backend, world, mirror_path=mirror_path)
     strategy = get_strategy(config.strategy)
     memory = strategy.new_memory()
     goals = sample_goals(
         world, config.episodes_per_env, _env_goal_seed(config.goal_seed, env_seed)
     )
     stream = StreamResult(env_seed)
-    for index, goal in enumerate(goals):
-        reset(world)
-        policy = ReactPolicy(
-            backend,
-            horizon=config.horizon,
-            memory_text=strategy.render_memory(memory),
-        )
-        trajectory = run_episode(
-            world, goal, policy, config.horizon, env_seed=env_seed, episode_index=index
-        )
-        calls = backend.calls
-        try:
-            memory = strategy.after_episode(backend, trajectory, memory)
-        except BackendError as exc:
-            logger.warning(
-                "strategy %s failed after episode %d of env %d: %s",
-                config.strategy, index, env_seed, exc,
+    backend = make_backend(config.backend, world, mirror_path=mirror_path)
+    try:
+        for index, goal in enumerate(goals):
+            reset(world)
+            policy = ReactPolicy(
+                backend,
+                horizon=config.horizon,
+                memory_text=strategy.render_memory(memory),
             )
-        stream.strategy_calls += backend.calls - calls
-        stream.trajectory_lines.append(serialize(trajectory) + "\n")
-        snapshot = MemoryRecord(env_seed, index, strategy.memory_snapshot(memory))
-        stream.memory_lines.append(canonical_json(snapshot) + "\n")
-        stream.goals.append(render_goal(goal))
-        stream.rewards.append(trajectory.reward)
-        stream.steps.append(len(trajectory.steps))
+            trajectory = run_episode(
+                world, goal, policy, config.horizon, env_seed=env_seed, episode_index=index
+            )
+            calls = backend.calls
+            try:
+                memory = strategy.after_episode(backend, trajectory, memory)
+            except BackendError as exc:
+                logger.warning(
+                    "strategy %s failed after episode %d of env %d: %s",
+                    config.strategy, index, env_seed, exc,
+                )
+            stream.strategy_calls += backend.calls - calls
+            stream.trajectory_lines.append(serialize(trajectory) + "\n")
+            snapshot = MemoryRecord(env_seed, index, strategy.memory_snapshot(memory))
+            stream.memory_lines.append(canonical_json(snapshot) + "\n")
+            stream.goals.append(render_goal(goal))
+            stream.rewards.append(trajectory.reward)
+            stream.steps.append(len(trajectory.steps))
+    finally:
+        backend.close()
     return stream
 
 
@@ -332,42 +336,46 @@ def validity_analysis(
     successes = 0
     failures = []
     backends = {}
-    for env_seed, goal_text, workflow in flat:
-        world = worlds[env_seed]
-        reset(world)
-        try:
-            goal = parse_goal(goal_text)
-            check_goal(world, goal)
-        except ValueError:
-            # hallucinated goal: nothing in the world can satisfy it
-            failures.append(
-                ValidityFailure(
-                    env_seed=env_seed,
-                    goal=goal_text,
-                    workflow=workflow,
-                    classification="infeasible_step",
+    try:
+        for env_seed, goal_text, workflow in flat:
+            world = worlds[env_seed]
+            reset(world)
+            try:
+                goal = parse_goal(goal_text)
+                check_goal(world, goal)
+            except ValueError:
+                # hallucinated goal: nothing in the world can satisfy it
+                failures.append(
+                    ValidityFailure(
+                        env_seed=env_seed,
+                        goal=goal_text,
+                        workflow=workflow,
+                        classification="infeasible_step",
+                    )
                 )
+                continue
+            if env_seed not in backends:
+                backends[env_seed] = make_backend(backend_spec, world)
+            policy = ReactPolicy(
+                backends[env_seed],
+                horizon=horizon,
+                memory_text=render_workflows([(canonical_goal(goal_text), workflow)]),
             )
-            continue
-        if env_seed not in backends:
-            backends[env_seed] = make_backend(backend_spec, world)
-        policy = ReactPolicy(
-            backends[env_seed],
-            horizon=horizon,
-            memory_text=render_workflows([(canonical_goal(goal_text), workflow)]),
-        )
-        trajectory = run_episode(world, goal, policy, horizon)
-        if trajectory.success:
-            successes += 1
-        else:
-            failures.append(
-                ValidityFailure(
-                    env_seed=env_seed,
-                    goal=goal_text,
-                    workflow=workflow,
-                    classification=default_failure_classifier(trajectory),
+            trajectory = run_episode(world, goal, policy, horizon)
+            if trajectory.success:
+                successes += 1
+            else:
+                failures.append(
+                    ValidityFailure(
+                        env_seed=env_seed,
+                        goal=goal_text,
+                        workflow=workflow,
+                        classification=default_failure_classifier(trajectory),
+                    )
                 )
-            )
+    finally:
+        for backend in backends.values():
+            backend.close()
     return ValidityReport(successes=successes, total=len(flat), failures=failures)
 
 

@@ -1,20 +1,23 @@
 """Chat-completion backends and tolerant structured-output parsing.
 
 The live backend POSTs the OpenAI-compatible /chat/completions wire format
-through urllib, one connection per call; this module alone reads its LM_*
-variables. Tests reach it only through a loopback stub. Parsing is total: any
-input text yields either a value or a ParseError, never another exception.
+through http.client, on one kept-alive connection per backend (one backend
+per env stream), with the *_proxy variables resolved as urllib does; this
+module alone reads its LM_* variables. Tests reach it only through a loopback
+stub. Parsing is total: any input text yields either a value or a ParseError,
+never another exception.
 """
 
 from __future__ import annotations
 
+import base64
 import http.client
 import json
 import logging
 import os
+import socket
 import threading
 import time
-import urllib.error
 import urllib.parse
 import urllib.request
 from dataclasses import dataclass
@@ -89,18 +92,37 @@ def _rate_limiter(requests_per_minute: int) -> TokenBucket:
     return TokenBucket(requests_per_minute)
 
 
-def _post(request: urllib.request.Request, timeout: float) -> tuple[int, bytes]:
-    """Status and body of one POST on its own connection, error statuses included."""
-    try:
-        with urllib.request.urlopen(request, timeout=timeout) as resp:
-            return resp.status, resp.read()
-    except urllib.error.HTTPError as exc:
-        with exc:
-            return exc.code, exc.read()
+def _proxy_for(target: urllib.request.Request) -> Optional[tuple[str, dict[str, str]]]:
+    """The proxy host[:port] urllib would send target through, chosen by the
+    *_proxy variables, and its Proxy-Authorization header if the proxy URL
+    holds credentials; None if target is reached directly."""
+    proxy = urllib.request.getproxies().get(target.type)
+    if not proxy or urllib.request.proxy_bypass(target.host):
+        return None
+    url = urllib.parse.urlsplit(proxy if "://" in proxy else f"http://{proxy}")
+    headers = {}
+    if url.username and url.password:
+        credentials = f"{urllib.parse.unquote(url.username)}:{urllib.parse.unquote(url.password)}"
+        headers["Proxy-Authorization"] = "Basic " + base64.b64encode(credentials.encode()).decode()
+    return url.netloc.rpartition("@")[2], headers
+
+
+# Servers that write a reply's headers and body separately with Nagle's
+# algorithm on (Python's http.server among them) hold the body until the
+# client ACKs the headers. On a kept connection a delayed ACK stalls every
+# call ~40 ms, so each request re-arms TCP_QUICKACK; where the option does
+# not exist (it is Linux's), no connection is kept past its response.
+_KEEP_ALIVE = hasattr(socket, "TCP_QUICKACK")
 
 
 class LiveBackend:
-    """OpenAI-compatible chat-completion client with bounded retries; building one does no I/O."""
+    """OpenAI-compatible chat-completion client with bounded retries; building one does no I/O.
+
+    One backend serves one env stream, so its calls never overlap. It keeps
+    one HTTP connection alive across its calls, and the JSON text of the
+    previous request's messages: a request that starts with equal messages
+    encodes only the rest. close() closes the connection.
+    """
 
     MAX_ATTEMPTS = 3
     RETRY_STATUSES = {429, 500, 502, 503, 504}
@@ -125,27 +147,103 @@ class LiveBackend:
         self.rate_limiter = _rate_limiter(int(rpm)) if rpm else None
         self.mirror_path = mirror_path
         self.calls = 0  # completions returned
-        self._lock = threading.Lock()
+        target = urllib.request.Request(f"{self.base_url}/chat/completions")
+        self._https = target.type == "https"
+        self._host, self._selector, self._tunnel = target.host, target.selector, None
+        self._headers = {
+            "Authorization": f"Bearer {self.api_key}",
+            "Content-Type": "application/json",
+            "User-Agent": f"Python-urllib/{urllib.request.__version__}",
+        }
+        proxy = _proxy_for(target)
+        if proxy is not None:
+            self._host, proxy_headers = proxy
+            if self._https:
+                self._tunnel = (target.host, proxy_headers)
+            else:  # an http proxy is sent the absolute URI
+                self._selector = target.full_url
+                self._headers.update(proxy_headers)
+        self._conn: Optional[http.client.HTTPConnection] = None
+        # The previous request's messages (system message first), each as
+        # its items, its wire text and its sort_keys text for the mirror.
+        self._items: list[tuple] = []
+        self._wire: list[str] = []
+        self._sorted: list[str] = []
+        dumps = json.dumps
+        self._wire_head = '{"model": %s, "messages": [' % dumps(self.model)
+        self._wire_tail = '], "temperature": %s, "max_tokens": %s}' % (
+            dumps(self.TEMPERATURE), dumps(self.MAX_TOKENS)
+        )
+        self._mirror_head = '{"request": {"max_tokens": %s, "messages": [' % dumps(self.MAX_TOKENS)
+        self._mirror_tail = '], "model": %s, "temperature": %s}, "response": ' % (
+            dumps(self.model), dumps(self.TEMPERATURE)
+        )
 
-    def _mirror(self, payload: dict, response_text: str) -> None:
-        if not self.mirror_path:
-            return
-        record = json.dumps({"request": payload, "response": response_text}, sort_keys=True)
-        with self._lock:
-            with open(self.mirror_path, "a", encoding="utf-8") as fh:
-                fh.write(record + "\n")
+    def close(self) -> None:
+        if self._conn is not None:
+            self._conn.close()
+            self._conn = None
+
+    def _encode(self, messages: list[dict]) -> tuple[bytes, str]:
+        """The wire body, and the mirror record up to its response text.
+
+        Equal to json.dumps(payload).encode() and the start of
+        json.dumps({"request": payload, "response": ...}, sort_keys=True).
+        Messages equal, key order included, to the previous request's first
+        ones reuse their texts; the rest are encoded here.
+        """
+        keep = 0
+        for message, items in zip(messages, self._items):
+            if tuple(message.items()) != items:
+                break
+            keep += 1
+        del self._items[keep:], self._wire[keep:], self._sorted[keep:]
+        for message in messages[keep:]:
+            self._items.append(tuple(message.items()))
+            self._wire.append(json.dumps(message))
+            self._sorted.append(json.dumps(message, sort_keys=True))
+        body = self._wire_head + ", ".join(self._wire) + self._wire_tail
+        return body.encode("utf-8"), self._mirror_head + ", ".join(self._sorted) + self._mirror_tail
+
+    def _send(self, body: bytes) -> http.client.HTTPResponse:
+        if self._conn is None:
+            connection = http.client.HTTPSConnection if self._https else http.client.HTTPConnection
+            self._conn = connection(self._host, timeout=self.TIMEOUT)
+            if self._tunnel is not None:
+                host, headers = self._tunnel
+                self._conn.set_tunnel(host, headers=headers)
+        self._conn.request("POST", self._selector, body, self._headers)
+        if _KEEP_ALIVE:
+            self._conn.sock.setsockopt(socket.IPPROTO_TCP, socket.TCP_QUICKACK, 1)
+        return self._conn.getresponse()
+
+    def _post(self, body: bytes) -> tuple[int, bytes]:
+        """Status and whole body of one POST, error statuses included.
+
+        A kept connection the server closed while idle fails before a status
+        line arrives; the request then goes out once more on a new one.
+        """
+        reused = self._conn is not None
+        try:
+            try:
+                response = self._send(body)
+            except ConnectionError:
+                if not reused:
+                    raise
+                self.close()
+                response = self._send(body)
+            with response:
+                raw = response.read()
+        except BaseException:
+            self.close()
+            raise
+        if response.will_close or not _KEEP_ALIVE:
+            self.close()
+        return response.status, raw
 
     def complete(self, request: LMRequest) -> str:
-        payload = {
-            "model": self.model,
-            "messages": [{"role": "system", "content": request.system_prompt}, *request.messages],
-            "temperature": self.TEMPERATURE,
-            "max_tokens": self.MAX_TOKENS,
-        }
-        http_request = urllib.request.Request(
-            f"{self.base_url}/chat/completions",
-            data=json.dumps(payload).encode("utf-8"),
-            headers={"Authorization": f"Bearer {self.api_key}", "Content-Type": "application/json"},
+        body, mirror_head = self._encode(
+            [{"role": "system", "content": request.system_prompt}, *request.messages]
         )
         last_status, last_body = None, ""
         for attempt in range(self.MAX_ATTEMPTS):
@@ -155,7 +253,7 @@ class LiveBackend:
                 time.sleep(self.RETRY_DELAY * (2 ** (attempt - 1)))
                 logger.info("retrying chat completion (attempt %d)", attempt + 1)
             try:
-                status, raw = _post(http_request, self.TIMEOUT)
+                status, raw = self._post(body)
             except (OSError, http.client.HTTPException) as exc:
                 last_status, last_body = None, str(exc)
                 continue
@@ -176,9 +274,10 @@ class LiveBackend:
                 raise BackendError("empty completion content", status=200, body=text)
             if not isinstance(content, str):
                 raise BackendError("malformed chat completion response", status=200, body=text)
-            with self._lock:
-                self.calls += 1
-            self._mirror(payload, content)
+            self.calls += 1
+            if self.mirror_path:
+                with open(self.mirror_path, "a", encoding="utf-8") as fh:
+                    fh.write(f"{mirror_head}{json.dumps(content)}}}\n")
             return content
         raise BackendError(
             f"chat completion failed after {self.MAX_ATTEMPTS} attempts", last_status, last_body

@@ -340,6 +340,9 @@ class ScriptedBackend:
             raise ScriptExhaustedError(f"no scripted handler for {kind!r} request")
         return handler(request)
 
+    def close(self) -> None:
+        """Nothing to release; the harness closes every backend it builds."""
+
     # Abstaining defaults; subclasses override what they need.
     def _on_summarize(self, request: LMRequest) -> str:
         return json.dumps({"0": "Agent spawned in the grid and took no useful action."})

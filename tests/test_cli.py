@@ -309,8 +309,9 @@ def test_run_rejects_bad_lm_rpm(tmp_path, capsys, monkeypatch):
 
 
 def test_live_run_with_horizon_0_creates_no_out(tmp_path, capsys, monkeypatch):
-    """A live run config out of range, or with a grid generate cannot build,
-    exits 1 before the call mirror creates --out; no request is sent."""
+    """A live run config out of range, with a grid generate cannot build, or
+    with an unknown strategy, exits 1 before the call mirror creates --out;
+    no request is sent."""
     monkeypatch.setenv("LM_BASE_URL", "http://127.0.0.1:9")
     monkeypatch.setenv("LM_API_KEY", "test-key")
     monkeypatch.setenv("LM_MODEL", "test-model")
@@ -319,6 +320,8 @@ def test_live_run_with_horizon_0_creates_no_out(tmp_path, capsys, monkeypatch):
     grid_12 = json.loads(RunConfig(env_seeds=(0, 1), backend="live").to_json())
     grid_12["grid_width"] = 12
     (tmp_path / "grid_12.json").write_text(json.dumps(grid_12))
+    zen = {**grid_12, "grid_width": 13, "strategy": "zen"}
+    (tmp_path / "zen.json").write_text(json.dumps(zen))
     out = tmp_path / "r"
     capsys.readouterr()
     for source, message in (
@@ -326,6 +329,8 @@ def test_live_run_with_horizon_0_creates_no_out(tmp_path, capsys, monkeypatch):
          "run config horizon must be >= 1"),
         (["--resume-config", str(tmp_path / "grid_12.json")],
          "cannot load config: grid 12x13 cannot host 2x2 rooms"),
+        (["--resume-config", str(tmp_path / "zen.json")],
+         "cannot load config: unknown strategy 'zen'"),
     ):
         assert main(["run", *source, "--out", str(out)]) == 1
         assert capsys.readouterr().err.startswith(f"error: {message}")

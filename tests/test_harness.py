@@ -420,5 +420,5 @@ def test_render_gain_svg_deterministic():
 
 
 def test_mean_cumulative_average():
-    record = _record("x", {0: [1, 1], 1: [0, 1]}, goal_seed=0, episodes_per_env=2)
+    record = _record("echo", {0: [1, 1], 1: [0, 1]}, goal_seed=0, episodes_per_env=2)
     assert mean_cumulative_average(record) == [0.5, 0.75]

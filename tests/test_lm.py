@@ -1,15 +1,18 @@
 """Backend retry behaviour (against a local stub server) and parser totality."""
 
+import base64
 import hashlib
+import http.client
 import json
 import socket
 import subprocess
 import sys
 import threading
-import urllib.error
-import urllib.request
+import time
+import types
 from http.server import BaseHTTPRequestHandler, ThreadingHTTPServer
 from pathlib import Path
+from typing import Optional
 
 import pytest
 from hypothesis import HealthCheck, given, settings
@@ -33,9 +36,11 @@ class _StubHandler(BaseHTTPRequestHandler):
     plan: list[tuple[int, str]] = []
     served: list[dict] = []
     raw: list[tuple[bytes, str, str]] = []  # (body, Content-Type, Authorization)
+    seen: list[tuple[str, str, Optional[str]]] = []  # (method, target, Proxy-Authorization)
     short_by = 0  # declare this many more body bytes than are sent, then close
 
     def do_POST(self):
+        self.seen.append((self.command, self.path, self.headers["Proxy-Authorization"]))
         body = self.rfile.read(int(self.headers.get("Content-Length", 0)))
         self.raw.append((body, self.headers["Content-Type"], self.headers["Authorization"]))
         self.served.append(json.loads(body))
@@ -47,8 +52,34 @@ class _StubHandler(BaseHTTPRequestHandler):
         self.end_headers()
         self.wfile.write(payload)
 
+    def do_CONNECT(self):
+        """Refuse every tunnel, after noting whom it was for."""
+        self.seen.append((self.command, self.path, self.headers["Proxy-Authorization"]))
+        self.send_response(502)
+        self.end_headers()
+
     def log_message(self, *args):
         pass
+
+
+class _KeepAliveHandler(_StubHandler):
+    """Keeps each connection open between requests, as HTTP/1.1 lets it."""
+
+    protocol_version = "HTTP/1.1"
+    connections = 0  # connections accepted
+    on_connection: list[int] = []  # the connection each request arrived on
+    close_each = False  # close after each reply without saying so
+
+    def setup(self):
+        super().setup()
+        type(self).connections += 1
+        self.number = self.connections
+
+    def do_POST(self):
+        self.on_connection.append(self.number)
+        super().do_POST()
+        if self.close_each:
+            self.close_connection = True
 
 
 def _completion_body(text: str) -> str:
@@ -60,34 +91,50 @@ def _completion_body(text: str) -> str:
     )
 
 
-@pytest.fixture
-def stub_server():
-    server = ThreadingHTTPServer(("127.0.0.1", 0), _StubHandler)
-    _StubHandler.plan = []
-    _StubHandler.served = []
-    _StubHandler.raw = []
-    _StubHandler.short_by = 0
+def _serve(handler):
+    handler.plan, handler.served, handler.raw, handler.seen = [], [], [], []
+    handler.short_by = 0
+    server = ThreadingHTTPServer(("127.0.0.1", 0), handler)
     thread = threading.Thread(target=server.serve_forever, args=(0.01,), daemon=True)
     thread.start()
-    yield f"http://127.0.0.1:{server.server_port}", _StubHandler
+    yield f"http://127.0.0.1:{server.server_port}", handler
     server.shutdown()
     thread.join()
     server.server_close()
 
 
+@pytest.fixture
+def stub_server():
+    yield from _serve(_StubHandler)
+
+
+@pytest.fixture
+def keepalive_server():
+    _KeepAliveHandler.connections = 0
+    _KeepAliveHandler.on_connection = []
+    _KeepAliveHandler.close_each = False
+    yield from _serve(_KeepAliveHandler)
+
+
+_PROXY_VARIABLES = ("http_proxy", "https_proxy", "no_proxy")
+
+
 def _live_env(monkeypatch, url: str) -> None:
-    """Point make_backend("live", ...) at url, with no rate limit."""
+    """Point make_backend("live", ...) at url, with no rate limit and no proxy."""
     monkeypatch.setenv("LM_BASE_URL", url)
     monkeypatch.setenv("LM_API_KEY", "test-key")
     monkeypatch.setenv("LM_MODEL", "test-model")
     monkeypatch.delenv("LM_RPM", raising=False)
+    for name in _PROXY_VARIABLES:
+        monkeypatch.delenv(name, raising=False)
+        monkeypatch.delenv(name.upper(), raising=False)
 
 
-def _backend(monkeypatch, url: str) -> LiveBackend:
+def _backend(monkeypatch, url: str, mirror_path=None) -> LiveBackend:
     _live_env(monkeypatch, url)
     monkeypatch.setattr(LiveBackend, "RETRY_DELAY", 0.0)
     monkeypatch.setattr(LiveBackend, "TIMEOUT", 5.0)
-    return LiveBackend()
+    return LiveBackend(mirror_path)
 
 
 def _request() -> LMRequest:
@@ -166,49 +213,229 @@ def test_live_backend_retries_a_truncated_reply(stub_server, monkeypatch):
 
 
 def test_live_backend_closes_every_response(stub_server, monkeypatch):
-    """Each response is closed before complete returns, an error status's too.
+    """Each response is read to its end before complete returns, an error
+    status's too.
 
-    An unclosed urllib response raises no ResourceWarning, so this is checked
-    on the response objects themselves.
+    An unread response raises no ResourceWarning, so this is checked on the
+    response objects themselves.
     """
     url, handler = stub_server
     handler.plan = [(429, "slow down"), (200, _completion_body("ok"))]
     opened = []
-    real_urlopen = urllib.request.urlopen
+    real_getresponse = http.client.HTTPConnection.getresponse
 
-    def recording_urlopen(*args, **kwargs):
-        try:
-            resp = real_urlopen(*args, **kwargs)
-        except urllib.error.HTTPError as exc:
-            opened.append(exc.fp)
-            raise
-        opened.append(resp)
-        return resp
+    def recording_getresponse(self):
+        opened.append(real_getresponse(self))
+        return opened[-1]
 
-    monkeypatch.setattr(urllib.request, "urlopen", recording_urlopen)
+    monkeypatch.setattr(http.client.HTTPConnection, "getresponse", recording_getresponse)
     assert _backend(monkeypatch, url).complete(_request()) == "ok"
-    assert len(opened) == 2
-    assert all(resp.closed for resp in opened)
+    assert [resp.status for resp in opened] == [429, 200]
+    assert all(resp.isclosed() for resp in opened)
 
 
 def test_live_backend_gives_up_on_a_closed_port(monkeypatch):
     with socket.socket() as sock:
         sock.bind(("127.0.0.1", 0))
         port = sock.getsockname()[1]
-    posts = []
-    real_post = lm._post
+    connects = []
+    real_connect = http.client.HTTPConnection.connect
 
-    def counting_post(*args):
-        posts.append(args)
-        return real_post(*args)
+    def counting_connect(self):
+        connects.append(self)
+        return real_connect(self)
 
-    monkeypatch.setattr(lm, "_post", counting_post)
+    monkeypatch.setattr(http.client.HTTPConnection, "connect", counting_connect)
     backend = _backend(monkeypatch, f"http://127.0.0.1:{port}")
     with pytest.raises(BackendError, match="after 3 attempts") as excinfo:
         backend.complete(_request())
     assert excinfo.value.status is None
-    assert len(posts) == LiveBackend.MAX_ATTEMPTS
+    assert len(connects) == LiveBackend.MAX_ATTEMPTS
     assert backend.calls == 0
+
+
+_TEXT = st.text(
+    st.sampled_from('a "\\/\n\t\x00\x1f\x7f\u00e9\u2028\U0001f600') | st.characters(), max_size=8
+)
+_MESSAGES = st.lists(st.tuples(_TEXT, _TEXT), max_size=3)
+_STEP = st.one_of(
+    st.tuples(st.just("extend"), _MESSAGES),
+    st.tuples(st.just("restart"), _MESSAGES),
+    st.tuples(st.just("mutate"), st.integers(0, 20), _TEXT),
+    st.tuples(st.just("reorder"), st.integers(0, 20)),
+    st.tuples(st.just("system"), _TEXT),
+)
+
+
+@settings(
+    max_examples=60, deadline=None, suppress_health_check=[HealthCheck.function_scoped_fixture]
+)
+@given(system=_TEXT, steps=st.lists(_STEP, min_size=1, max_size=6), reply=_TEXT)
+def test_live_backend_encodes_each_request_as_json_dumps(
+    keepalive_server, monkeypatch, tmp_path, system, steps, reply
+):
+    """Whatever a stream's requests share with the one before, each body is
+    json.dumps(payload) and each mirror line json.dumps(record, sort_keys=True),
+    byte for byte: messages appended, restarted, edited in place, rebuilt
+    with their keys in another order, or under a new system prompt."""
+    url, handler = keepalive_server
+    handler.plan = [(200, _completion_body(reply))]
+    handler.raw.clear()
+    mirror = tmp_path / "lm_calls.jsonl"
+    mirror.unlink(missing_ok=True)
+    backend = _backend(monkeypatch, url, str(mirror))
+    messages, bodies, records = [], [], []
+    try:
+        for kind, *args in steps:
+            if kind in ("extend", "restart"):
+                if kind == "restart":
+                    messages = []
+                messages.extend({"role": role, "content": content} for role, content in args[0])
+            elif kind == "system":
+                system = args[0]
+            elif messages and kind == "mutate":
+                messages[args[0] % len(messages)]["content"] = args[1]
+            elif messages:
+                index = args[0] % len(messages)
+                messages[index] = dict(reversed(messages[index].items()))
+            assert backend.complete(LMRequest(system, list(messages))) == reply
+            payload = {
+                "model": "test-model",
+                "messages": [{"role": "system", "content": system}, *messages],
+                "temperature": 0.0,
+                "max_tokens": 4000,
+            }
+            bodies.append(json.dumps(payload).encode())
+            records.append(json.dumps({"request": payload, "response": reply}, sort_keys=True))
+    finally:
+        backend.close()
+    assert [body for body, _, _ in handler.raw] == bodies
+    assert mirror.read_text(encoding="utf-8").split("\n") == [*records, ""]
+
+
+_KEPT = pytest.mark.skipif(
+    not lm._KEEP_ALIVE, reason="a connection is kept only where socket.TCP_QUICKACK exists"
+)
+
+
+@_KEPT
+def test_live_backend_keeps_one_connection(keepalive_server, monkeypatch):
+    """Twenty calls go out on one connection, with no delayed-ACK stall
+    (~40 ms a call) while the server writes headers and body apart."""
+    url, handler = keepalive_server
+    handler.plan = [(200, _completion_body("ok"))]
+    backend = _backend(monkeypatch, url)
+    start = time.perf_counter()
+    try:
+        for _ in range(20):
+            assert backend.complete(_request()) == "ok"
+    finally:
+        backend.close()
+    assert time.perf_counter() - start < 0.4
+    assert len(handler.served) == 20
+    assert handler.connections == 1
+
+
+@_KEPT
+def test_live_backend_retries_on_the_same_connection(keepalive_server, monkeypatch):
+    url, handler = keepalive_server
+    handler.plan = [(429, "slow down"), (200, _completion_body("ok"))]
+    backend = _backend(monkeypatch, url)
+    try:
+        assert backend.complete(_request()) == "ok"
+    finally:
+        backend.close()
+    assert handler.on_connection == [1, 1]
+
+
+def test_live_backend_resends_once_when_the_server_dropped_the_connection(
+    keepalive_server, monkeypatch
+):
+    """A server that closes each connection after its reply, without saying
+    so, still gets every call, once, and the client never backs off."""
+    url, handler = keepalive_server
+    handler.plan = [(200, _completion_body("ok"))]
+    handler.close_each = True
+    sleeps = []
+    monkeypatch.setattr(lm, "time", types.SimpleNamespace(sleep=sleeps.append))
+    backend = _backend(monkeypatch, url)
+    try:
+        for _ in range(5):
+            assert backend.complete(_request()) == "ok"
+    finally:
+        backend.close()
+    assert handler.on_connection == [1, 2, 3, 4, 5]
+    assert backend.calls == 5
+    assert sleeps == []
+
+
+def test_live_backend_without_quickack_closes_each_connection(keepalive_server, monkeypatch):
+    """Where socket has no TCP_QUICKACK, each call has its own connection."""
+    url, handler = keepalive_server
+    handler.plan = [(200, _completion_body("ok"))]
+    monkeypatch.setattr(lm, "_KEEP_ALIVE", False)
+    backend = _backend(monkeypatch, url)
+    for _ in range(3):
+        assert backend.complete(_request()) == "ok"
+        assert backend._conn is None
+    assert handler.on_connection == [1, 2, 3]
+
+
+def test_live_run_closes_every_connection(keepalive_server, monkeypatch):
+    """Each env stream keeps one connection and closes it when it ends."""
+    from echogrid.harness import RunConfig, run_stream
+
+    url, handler = keepalive_server
+    handler.plan = [(200, _completion_body('{"thought":"t","choice":0,"reflection":"r"}'))]
+    _live_env(monkeypatch, url)
+    opened = []
+    real_connect = http.client.HTTPConnection.connect
+
+    def recording_connect(self):
+        opened.append(self)
+        return real_connect(self)
+
+    monkeypatch.setattr(http.client.HTTPConnection, "connect", recording_connect)
+    config = RunConfig(
+        env_seeds=(0, 1), episodes_per_env=2, horizon=3, strategy="reflexion",
+        backend="live", workers=2,
+    )
+    run_stream(config)
+    assert len(handler.served) == 2 * (2 * 3 + 2)
+    assert len(opened) == handler.connections == (2 if lm._KEEP_ALIVE else len(handler.served))
+    assert all(conn.sock is None for conn in opened)
+
+
+def test_live_backend_sends_the_absolute_uri_to_an_http_proxy(stub_server, monkeypatch):
+    url, handler = stub_server
+    handler.plan = [(200, _completion_body("ok"))]
+    _live_env(monkeypatch, "http://llm.invalid/v1")
+    monkeypatch.setenv("http_proxy", url.replace("http://", "http://user:p%40ss@"))
+    assert LiveBackend().complete(_request()) == "ok"
+    credentials = "Basic " + base64.b64encode(b"user:p@ss").decode()
+    assert handler.seen == [("POST", "http://llm.invalid/v1/chat/completions", credentials)]
+
+
+def test_live_backend_bypasses_the_proxy_for_no_proxy_hosts(stub_server, monkeypatch):
+    url, handler = stub_server
+    handler.plan = [(200, _completion_body("ok"))]
+    _live_env(monkeypatch, f"{url}/v1")
+    monkeypatch.setenv("http_proxy", url)
+    monkeypatch.setenv("no_proxy", "127.0.0.1")
+    assert LiveBackend().complete(_request()) == "ok"
+    assert handler.seen == [("POST", "/v1/chat/completions", None)]
+
+
+def test_live_backend_tunnels_https_through_the_proxy(stub_server, monkeypatch):
+    """An https endpoint behind https_proxy is reached through CONNECT; this
+    proxy refuses the tunnel, so every attempt fails before TLS starts."""
+    url, handler = stub_server
+    _live_env(monkeypatch, "https://llm.invalid/v1")
+    monkeypatch.setenv("https_proxy", url)
+    monkeypatch.setattr(LiveBackend, "RETRY_DELAY", 0.0)
+    with pytest.raises(BackendError, match="after 3 attempts"):
+        LiveBackend().complete(_request())
+    assert handler.seen == [("CONNECT", "llm.invalid:443", None)] * LiveBackend.MAX_ATTEMPTS
 
 
 _JSON = st.recursive(
