@@ -16,7 +16,7 @@ from pathlib import Path
 
 from . import harness
 from .episode import read_trajectories
-from .harness import SEED_LIST, RunConfig, distinct_seeds, load_run_record, load_validity_pools
+from .harness import SEED_LIST, RunConfig, distinct_seeds, load_validity_pools, read_run_dir
 from .lm import BackendError, LiveBackend
 from .strategies import STRATEGIES
 from .textview import render_goal
@@ -214,30 +214,30 @@ def cmd_run(args) -> int:
 
 def cmd_eval(args) -> int:
     try:
-        baseline = load_run_record(Path(args.baseline))
-        methods = [load_run_record(Path(d)) for d in args.runs]
-    except (OSError, ValueError) as exc:
-        raise CliError(f"cannot load run: {exc}") from None
+        baseline = read_run_dir(Path(args.baseline))
+        methods = [read_run_dir(Path(d)) for d in args.runs]
+    except ValueError as exc:
+        raise CliError(str(exc)) from None
     curves = {}
     rows = []
+    base = {s.env_seed: harness.cumulative_average(s.rewards) for s in baseline.streams}
     for method in methods:
+        strategy = method.config.strategy
         try:
             gain = harness.gain_over_baseline(method, baseline)
         except ValueError as exc:
             raise CliError(str(exc)) from None
-        if method.config.strategy in curves:
-            raise CliError(f"--runs holds two {method.config.strategy} runs; eval keys by strategy")
-        curves[method.config.strategy] = gain
-        for env_seed in method.rewards:
-            m_series = harness.cumulative_average(method.rewards[env_seed])
-            b_series = harness.cumulative_average(baseline.rewards[env_seed])
-            for episode in range(method.config.episodes_per_env):
-                rows.append(
-                    f"{method.config.strategy},{env_seed},{episode},"
-                    f"{method.goals[env_seed][episode]},{method.rewards[env_seed][episode]},"
-                    f"{m_series[episode]!r},{b_series[episode]!r},"
-                    f"{m_series[episode] - b_series[episode]!r}"
+        if strategy in curves:
+            raise CliError(f"--runs holds two {strategy} runs; eval keys by strategy")
+        curves[strategy] = gain
+        for s in method.streams:
+            m_series = harness.cumulative_average(s.rewards)
+            rows.extend(
+                f"{strategy},{s.env_seed},{episode},{goal},{reward},{m!r},{b!r},{m - b!r}"
+                for episode, (goal, reward, m, b) in enumerate(
+                    zip(s.goals, s.rewards, m_series, base[s.env_seed])
                 )
+            )
     out = Path(args.out)
     plot = Path(args.plot) if args.plot else None
     for path in (out, plot):  # both before either file, so a bad path writes neither
@@ -256,17 +256,14 @@ def cmd_eval(args) -> int:
 def cmd_validate(args) -> int:
     if args.samples <= 0:
         raise CliError("--samples must be >= 1")
-    run_dir = Path(args.run)
     try:
-        config = RunConfig.from_json((run_dir / "config.json").read_text(encoding="utf-8"))
-    except (OSError, ValueError) as exc:
-        raise CliError(f"cannot load run config: {exc}") from None
-    backend_spec = args.backend or config.backend
-    _check_backend(backend_spec)
-    try:
-        pools = load_validity_pools(run_dir, config)
+        record = read_run_dir(Path(args.run))
     except ValueError as exc:
         raise CliError(str(exc)) from None
+    config = record.config
+    backend_spec = args.backend or config.backend
+    _check_backend(backend_spec)
+    pools = load_validity_pools(record)
     if not pools:
         print("nothing to validate: the run stored no workflows", file=sys.stderr)
         return 0

@@ -14,10 +14,11 @@ import json
 import logging
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field, fields
+from itertools import zip_longest
 from pathlib import Path
 from typing import Optional
 
-from .episode import Trajectory, run_episode, serialize
+from .episode import Trajectory, deserialize, run_episode, serialize
 from .lm import BackendError, LiveBackend
 from .oracle import DemoBackend, OracleBackend, TurnLeftBackend
 from .policy import ReactPolicy
@@ -96,7 +97,15 @@ class StreamResult:
     goals: list[str] = field(default_factory=list)  # per episode, as metrics.csv writes them
     rewards: list[int] = field(default_factory=list)
     steps: list[int] = field(default_factory=list)
-    strategy_calls: int = 0  # backend calls made by after_episode
+    memory: object = None  # the strategy's memory after the last episode
+    strategy_calls: int = 0  # backend calls made by after_episode; not persisted
+
+    def add_trajectory(self, line: str, trajectory: Trajectory) -> Trajectory:
+        self.trajectory_lines.append(line)
+        self.goals.append(render_goal(trajectory.goal))
+        self.rewards.append(trajectory.reward)
+        self.steps.append(len(trajectory.steps))
+        return trajectory
 
 
 @dataclass
@@ -110,12 +119,16 @@ class MemoryRecord:
 
 @dataclass
 class RunRecord:
-    """Reward series and accounting for one completed run."""
+    """One run: its config and its streams in config.env_seeds order, as
+    run_stream returns it and read_run_dir reads it back."""
 
     config: RunConfig
-    rewards: dict[int, list[int]]  # env seed -> reward per episode
-    goals: dict[int, list[str]]
-    strategy_calls: int = 0
+    streams: list[StreamResult]
+
+    @property
+    def strategy_calls(self) -> int:
+        """Backend calls made by after_episode: not persisted, so 0 for a run read back."""
+        return sum(s.strategy_calls for s in self.streams)
 
 
 def check_backend(spec: str) -> None:
@@ -191,12 +204,10 @@ def run_env_stream(
                     config.strategy, index, env_seed, exc,
                 )
             stream.strategy_calls += backend.calls - calls
-            stream.trajectory_lines.append(serialize(trajectory) + "\n")
+            stream.add_trajectory(serialize(trajectory) + "\n", trajectory)
             snapshot = MemoryRecord(env_seed, index, strategy.memory_snapshot(memory))
             stream.memory_lines.append(canonical_json(snapshot) + "\n")
-            stream.goals.append(render_goal(goal))
-            stream.rewards.append(trajectory.reward)
-            stream.steps.append(len(trajectory.steps))
+            stream.memory = memory
     finally:
         backend.close()
     return stream
@@ -217,36 +228,88 @@ def run_stream(config: RunConfig, out_dir: Optional[Path] = None) -> RunRecord:
     else:
         streams = [run_env_stream(config, s, mirror_path) for s in config.env_seeds]
 
-    record = RunRecord(
-        config=config,
-        rewards={s.env_seed: s.rewards for s in streams},
-        goals={s.env_seed: s.goals for s in streams},
-        strategy_calls=sum(s.strategy_calls for s in streams),
-    )
+    record = RunRecord(config, streams)
     if out_dir is not None:
-        write_run_dir(Path(out_dir), config, streams)
+        write_run_dir(Path(out_dir), record)
     return record
 
 
-def write_run_dir(out_dir: Path, config: RunConfig, streams: list[StreamResult]) -> None:
+def write_run_dir(out_dir: Path, record: RunRecord) -> None:
     """config.json, then each log as the streams' lines in config.env_seeds order."""
     out_dir.mkdir(parents=True, exist_ok=True)
-    (out_dir / "config.json").write_text(config.to_json() + "\n", encoding="utf-8")
-    metrics = [METRICS_HEADER + "\n"]
-    for s in streams:
-        rows = zip(s.goals, s.rewards, s.steps, cumulative_average(s.rewards))
-        for index, (goal, reward, steps, cum_avg) in enumerate(rows):
-            metrics.append(
-                f"{s.env_seed},{index},{goal},{reward},{steps},{cum_avg!r},{config.strategy}\n"
-            )
+    (out_dir / "config.json").write_text(record.config.to_json() + "\n", encoding="utf-8")
     logs = {
-        "trajectories.jsonl": [line for s in streams for line in s.trajectory_lines],
-        MEMORY_LOG: [line for s in streams for line in s.memory_lines],
-        "metrics.csv": metrics,
+        "trajectories.jsonl": [line for s in record.streams for line in s.trajectory_lines],
+        MEMORY_LOG: [line for s in record.streams for line in s.memory_lines],
+        "metrics.csv": metrics_lines(record),
     }
     for name, lines in logs.items():
         with open(out_dir / name, "w", encoding="utf-8") as fh:
             fh.writelines(lines)
+
+
+def metrics_lines(record: RunRecord) -> list[str]:
+    """metrics.csv: the header, then one row per episode of each stream."""
+    lines = [METRICS_HEADER + "\n"]
+    for s in record.streams:
+        rows = zip(s.goals, s.rewards, s.steps, cumulative_average(s.rewards))
+        for index, (goal, reward, steps, cum_avg) in enumerate(rows):
+            lines.append(
+                f"{s.env_seed},{index},{goal},{reward},{steps},{cum_avg!r},"
+                f"{record.config.strategy}\n"
+            )
+    return lines
+
+
+def read_run_dir(run_dir: Path) -> RunRecord:
+    """The run write_run_dir wrote to run_dir, its files checked against each other:
+    trajectories.jsonl and memory.jsonl hold one line per (env seed, episode index)
+    of config.json in the writer's order, and metrics.csv the bytes metrics_lines
+    renders from the trajectories. A fault raises ValueError naming the file and
+    line; a missing file raises OSError."""
+    path = Path(run_dir) / "config.json"
+    try:
+        config = RunConfig.from_json(path.read_text(encoding="utf-8"))
+    except ValueError as exc:
+        raise ValueError(f"{path}: {exc}") from None
+    strategy = get_strategy(config.strategy)
+    record = RunRecord(config, [StreamResult(seed) for seed in config.env_seeds])
+
+    def add_trajectory(stream: StreamResult, text: str) -> Trajectory:
+        return stream.add_trajectory(text, deserialize(text))
+
+    def add_memory(stream: StreamResult, text: str) -> MemoryRecord:
+        snapshot = decode(MemoryRecord, json.loads(text), "record")
+        stream.memory = strategy.load_snapshot(snapshot.memory)
+        stream.memory_lines.append(text)
+        return snapshot
+
+    n = config.episodes_per_env
+    keys = [f"env_seed {seed} episode_index {i}" for seed in config.env_seeds for i in range(n)]
+    for name, add in (("trajectories.jsonl", add_trajectory), (MEMORY_LOG, add_memory)):
+        path, lineno = path.with_name(name), 0
+        with open(path, "rb") as fh:
+            for lineno, line in enumerate(fh, start=1):
+                try:
+                    if lineno > len(keys):
+                        raise ValueError(f"expected the end of the file after {len(keys)} lines")
+                    got = add(record.streams[(lineno - 1) // n], line.decode("utf-8"))
+                    key = f"env_seed {got.env_seed} episode_index {got.episode_index}"
+                    if key != keys[lineno - 1]:
+                        raise ValueError(f"expected {keys[lineno - 1]}, got {key}")
+                except (ValueError, RecursionError) as exc:
+                    raise ValueError(f"{path}:{lineno}: {exc}") from None
+        if lineno < len(keys):
+            raise ValueError(
+                f"{path}:{lineno + 1}: expected {keys[lineno]}, got the end of the file"
+            )
+    path = path.with_name("metrics.csv")
+    with open(path, "rb") as fh:
+        for lineno, (line, row) in enumerate(zip_longest(fh, metrics_lines(record)), start=1):
+            if line != (row and row.encode("utf-8")):
+                want = repr(row) if row else "the end of the file"
+                raise ValueError(f"{path}:{lineno}: trajectories.jsonl gives {want} here")
+    return record
 
 
 def cumulative_average(rewards: list) -> list[float]:
@@ -263,14 +326,14 @@ def cumulative_average(rewards: list) -> list[float]:
 
 def mean_cumulative_average(record: RunRecord) -> list[float]:
     """Per-episode mean over envs of each env's cumulative average."""
-    series = [cumulative_average(record.rewards[s]) for s in record.rewards]
+    series = [cumulative_average(s.rewards) for s in record.streams]
     return [sum(col) / len(col) for col in zip(*series)]
 
 
 def gain_over_baseline(method: RunRecord, baseline: RunRecord) -> list[float]:
-    """Per-episode cumulative-average difference, averaged across envs."""
+    """Per-episode cumulative-average difference, averaged across envs; streams pair by seed."""
     if (
-        sorted(method.rewards) != sorted(baseline.rewards)
+        sorted(method.config.env_seeds) != sorted(baseline.config.env_seeds)
         or method.config.episodes_per_env != baseline.config.episodes_per_env
         or method.config.goal_seed != baseline.config.goal_seed
     ):
@@ -278,11 +341,11 @@ def gain_over_baseline(method: RunRecord, baseline: RunRecord) -> list[float]:
             "method and baseline runs must share env seeds, episode counts, "
             "and goal-sampling seeds"
         )
-    gains = []
-    for env_seed in method.rewards:
-        m = cumulative_average(method.rewards[env_seed])
-        b = cumulative_average(baseline.rewards[env_seed])
-        gains.append([x - y for x, y in zip(m, b)])
+    base = {s.env_seed: cumulative_average(s.rewards) for s in baseline.streams}
+    gains = [
+        [x - y for x, y in zip(cumulative_average(s.rewards), base[s.env_seed])]
+        for s in method.streams
+    ]
     return [sum(col) / len(col) for col in zip(*gains)]
 
 
@@ -379,71 +442,10 @@ def validity_analysis(
     return ValidityReport(successes=successes, total=len(flat), failures=failures)
 
 
-def load_run_record(run_dir: Path) -> RunRecord:
-    """Rebuild a RunRecord from a persisted run directory.
-
-    Raises ValueError unless metrics.csv holds, for each env seed of
-    config.json, the rows of episodes 0..n-1 in order, n the config's
-    episodes per env.
-    """
-    run_dir = Path(run_dir)
-    config = RunConfig.from_json((run_dir / "config.json").read_text(encoding="utf-8"))
-    rewards: dict[int, list[int]] = {seed: [] for seed in config.env_seeds}
-    goals: dict[int, list[str]] = {seed: [] for seed in config.env_seeds}
-    with open(run_dir / "metrics.csv", encoding="utf-8") as fh:
-        header = fh.readline().strip()
-        if header != METRICS_HEADER:
-            raise ValueError(f"{run_dir}/metrics.csv: unexpected header {header!r}")
-        for lineno, line in enumerate(fh, start=2):
-            row = line.rstrip("\n").split(",")
-            if len(row) != 7:
-                raise ValueError(
-                    f"{run_dir}/metrics.csv line {lineno}: expected 7 fields, got {len(row)}"
-                )
-            env_seed, episode, goal, reward, _steps, _cum, _strategy = row
-            if int(env_seed) not in rewards:
-                raise ValueError(
-                    f"{run_dir}/metrics.csv: env seed {env_seed} is not in config.json"
-                )
-            done = len(rewards[int(env_seed)])
-            if int(episode) != done or done == config.episodes_per_env:
-                raise ValueError(
-                    f"{run_dir}/metrics.csv line {lineno}: env seed {env_seed} episode "
-                    f"{episode} is out of order; episodes run 0..{config.episodes_per_env - 1} "
-                    "once each"
-                )
-            rewards[int(env_seed)].append(int(reward))
-            goals[int(env_seed)].append(goal)
-    for env_seed, series in rewards.items():
-        if len(series) != config.episodes_per_env:
-            raise ValueError(
-                f"{run_dir}/metrics.csv: env seed {env_seed} has {len(series)} of "
-                f"{config.episodes_per_env} episodes"
-            )
-    return RunRecord(config=config, rewards=rewards, goals=goals)
-
-
-def load_validity_pools(run_dir: Path, config: RunConfig) -> dict[int, list[tuple[str, str]]]:
-    """Final-episode (goal, workflow) pairs per env of a saved run.
-
-    The final episode of an env is its last line in memory.jsonl. A line that
-    is not a memory record of an env seed of config, loaded by its strategy's
-    load_snapshot, raises ValueError naming the file and line; a missing file
-    raises OSError.
-    """
-    path = Path(run_dir) / MEMORY_LOG
-    strategy = get_strategy(config.strategy)
-    last = {}
-    with open(path, "rb") as fh:
-        for lineno, line in enumerate(fh, start=1):
-            try:
-                record = decode(MemoryRecord, json.loads(line.decode("utf-8")), "record")
-                if record.env_seed not in config.env_seeds:
-                    raise ValueError(f"env_seed {record.env_seed} is not in config.json")
-                last[record.env_seed] = strategy.workflows(strategy.load_snapshot(record.memory))
-            except (ValueError, RecursionError) as exc:
-                raise ValueError(f"{path}:{lineno}: {exc}") from None
-    return {seed: pairs for seed, pairs in sorted(last.items()) if pairs}
+def load_validity_pools(record: RunRecord) -> dict[int, list[tuple[str, str]]]:
+    """Final-episode (goal, workflow) pairs per env of a run, for the envs holding any."""
+    workflows = get_strategy(record.config.strategy).workflows
+    return {s.env_seed: pairs for s in record.streams if (pairs := workflows(s.memory))}
 
 
 # ---------------------------------------------------------------------------

@@ -13,6 +13,7 @@ from echogrid.harness import (
     cumulative_average,
     gain_over_baseline,
     load_validity_pools,
+    read_run_dir,
     run_stream,
     validity_analysis,
 )
@@ -145,7 +146,7 @@ def test_criterion_5_sample_efficiency_demonstration(tmp_path):
 def test_criterion_6_validity_harness(tmp_path):
     config = _paper_scale_config("echo", "scripted:bfs-demo")
     run_stream(config, out_dir=tmp_path / "run")
-    pools = load_validity_pools(tmp_path / "run", config)
+    pools = load_validity_pools(read_run_dir(tmp_path / "run"))
     assert sum(len(p) for p in pools.values()) == 40, "4 workflows per env over 10 envs"
     worlds = {seed: generate(seed) for seed in PAPER_SCALE_SEEDS}
     report = validity_analysis(pools, worlds, "scripted:bfs-demo", n_samples=40)

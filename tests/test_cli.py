@@ -437,32 +437,52 @@ def test_malformed_run_config_exits_1(tmp_path, edit):
     assert not csv.exists()
 
 
+def _append(row):
+    return lambda lines: lines.append(row)
+
+
+def _flip_first_reward(lines):
+    fields = lines[1].split(",")
+    fields[3] = str(1 - int(fields[3]))
+    lines[1] = ",".join(fields)
+
+
 @pytest.mark.parametrize(
-    "row, message",
+    "name, edit, where",
     [
-        ("7,0,Pick up the red key,0,64,0.0,react", "env seed 7 is not in config.json"),
-        ("0,0,Pick up the red key", "metrics.csv line 14: expected 7 fields, got 3"),
+        ("metrics.csv", _append("7,0,Pick up the red key,0,64,0.0,echo"), ":14: "),
+        ("metrics.csv", _append("0,0,Pick up the red key"), ":14: "),
+        ("metrics.csv", _append("0,0,Pick up the red key,0,64,0.0,echo"), ":14: "),
+        ("metrics.csv", _append("1,4,Pick up the red key,0,64,0.0,echo"), ":14: "),
+        ("trajectories.jsonl", lambda lines: lines.__delitem__(slice(-5, None)), ":8: "),
+        ("trajectories.jsonl", lambda lines: lines.insert(0, lines.pop(1)), ":1: "),
+        ("metrics.csv", _flip_first_reward, ":2: "),
         (
-            "0,0,Pick up the red key,0,64,0.0,react",
-            "metrics.csv line 14: env seed 0 episode 0 is out of order",
-        ),
-        (
-            "1,4,Pick up the red key,0,64,0.0,react",
-            "metrics.csv line 14: env seed 1 episode 4 is out of order",
+            "metrics.csv",
+            lambda lines: lines.__setitem__(
+                slice(None), [line.replace(",0.5,", ",0.25,") for line in lines]
+            ),
+            ":3: ",
         ),
     ],
-    ids=["unknown_seed", "short_row", "repeated_episode", "extra_episode"],
+    ids=[
+        "unknown_seed", "short_row", "repeated_episode", "extra_episode",
+        "trajectories_cut", "trajectories_swapped", "reward_flipped", "cum_avg_rewritten",
+    ],
 )
-def test_eval_rejects_bad_metrics_row(tmp_path, capsys, row, message):
-    """A metrics.csv row that config.json cannot place exits 1 with a message."""
+def test_eval_rejects_bad_metrics_row(tmp_path, capsys, name, edit, where):
+    """A run dir whose files do not agree exits 1 naming the file and line, and
+    eval writes no --out."""
     envs = _gen(tmp_path)
-    run = _run(tmp_path, envs, "run")
-    with open(run / "metrics.csv", "a", encoding="utf-8") as fh:
-        fh.write(row + "\n")
+    run = _run(tmp_path, envs, "run", "--strategy", "echo", "--backend", "scripted:bfs-demo")
+    lines = (run / name).read_text().splitlines()
+    edit(lines)
+    (run / name).write_text("\n".join(lines) + "\n")
     csv = tmp_path / "m.csv"
+    capsys.readouterr()
     assert main(["eval", "--runs", str(run), "--baseline", str(run), "--out", str(csv)]) == 1
     err = capsys.readouterr().err
-    assert message in err
+    assert err.startswith(f"error: {run / name}{where}")
     assert "Traceback" not in err
     assert not csv.exists()
 
@@ -474,14 +494,48 @@ def test_eval_rejects_a_missing_or_swapped_episode(tmp_path, capsys):
     header, *rows = (run / "metrics.csv").read_text().splitlines()
     csv = tmp_path / "m.csv"
     for body, message in (
-        (rows[:3] + rows[4:], "metrics.csv: env seed 0 has 3 of 4 episodes"),
-        ([rows[1], rows[0], *rows[2:]], "metrics.csv line 2: env seed 0 episode 1 is out of order"),
+        (rows[:3] + rows[4:], "metrics.csv:5: "),
+        ([rows[1], rows[0], *rows[2:]], "metrics.csv:2: "),
     ):
         (run / "metrics.csv").write_text("\n".join([header, *body]) + "\n")
         assert main(["eval", "--runs", str(run), "--baseline", str(run), "--out", str(csv)]) == 1
         err = capsys.readouterr().err
         assert message in err and "Traceback" not in err
         assert not csv.exists()
+
+
+def test_eval_pairs_baseline_streams_by_env_seed(tmp_path, monkeypatch):
+    """A baseline that lists its seeds in another order gives the same gains
+    and eval rows as one in the method's order."""
+    from echogrid import harness
+    from echogrid.harness import gain_over_baseline, read_run_dir
+    from echogrid.oracle import OracleBackend, TurnLeftBackend
+
+    # In these baselines env 0 always succeeds and envs 1 and 2 never do, so
+    # pairing streams by position instead of seed would change the eval rows
+    # (the gain curve, a mean over envs, is the same under any pairing).
+    monkeypatch.setattr(
+        harness, "make_backend",
+        lambda spec, world, mirror_path=None: (
+            OracleBackend(world) if world.seed == 0 else TurnLeftBackend()
+        ),
+    )
+    for name, seeds in (("react", (0, 1, 2)), ("react-shuffled", (2, 0, 1))):
+        config = RunConfig(env_seeds=seeds, episodes_per_env=4, goal_seed=9)
+        harness.run_stream(config, out_dir=tmp_path / name)
+    monkeypatch.undo()
+    react, shuffled = tmp_path / "react", tmp_path / "react-shuffled"
+    assert len({tuple(s.rewards) for s in read_run_dir(react).streams}) == 2
+    envs = _gen(tmp_path)
+    echo = _run(tmp_path, envs, "echo", "--strategy", "echo", "--backend", "scripted:bfs-demo")
+    method = read_run_dir(echo)
+    assert gain_over_baseline(method, read_run_dir(shuffled)) == gain_over_baseline(
+        method, read_run_dir(react)
+    )
+    for baseline, csv in ((react, "same.csv"), (shuffled, "shuffled.csv")):
+        assert main(["eval", "--runs", str(echo), "--baseline", str(baseline),
+                     "--out", str(tmp_path / csv)]) == 0
+    assert (tmp_path / "same.csv").read_bytes() == (tmp_path / "shuffled.csv").read_bytes()
 
 
 def test_run_unknown_backend_or_strategy(tmp_path, capsys):
@@ -579,6 +633,8 @@ def _last_line_memory(memory):
         pytest.param(_last_line_memory({"kind": "none"}), ":12: ", id="no_memory_kind"),
         pytest.param(_last_line_memory([]), ":12: ", id="memory_not_an_object"),
         pytest.param(None, ": No such file", id="missing"),
+        pytest.param(lambda lines: lines.__delitem__(slice(-5, None)), ":8: ", id="cut"),
+        pytest.param(lambda lines: lines.append(lines.pop(0)), ":1: ", id="first_moved_to_end"),
     ],
 )
 def test_validate_rejects_a_bad_memory_log(tmp_path, capsys, edit, where):

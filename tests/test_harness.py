@@ -7,20 +7,24 @@ import pytest
 
 from echogrid.harness import (
     RunConfig,
+    RunRecord,
+    StreamResult,
     cumulative_average,
     default_failure_classifier,
     gain_over_baseline,
-    load_run_record,
     load_validity_pools,
     make_backend,
     mean_cumulative_average,
+    read_run_dir,
     render_gain_svg,
     run_stream,
     sample_goals,
     validity_analysis,
+    write_run_dir,
 )
 from echogrid.episode import StepRecord, Trajectory
 from echogrid.rng import SplitMix64
+from echogrid.strategies import STRATEGIES
 from echogrid.textview import render_goal
 from echogrid.world import Goal, generate
 
@@ -102,14 +106,12 @@ def test_gain_over_baseline_rejects_mismatches():
 
 
 def _record(strategy, rewards, goal_seed, episodes_per_env):
-    from echogrid.harness import RunRecord
-
     config = RunConfig(
         env_seeds=tuple(rewards), episodes_per_env=episodes_per_env, strategy=strategy,
         goal_seed=goal_seed,
     )
     return RunRecord(
-        config=config, rewards=rewards, goals={k: ["g"] * len(v) for k, v in rewards.items()}
+        config, [StreamResult(seed, goals=["g"] * len(r), rewards=r) for seed, r in rewards.items()]
     )
 
 
@@ -130,7 +132,7 @@ def _config(**overrides):
 def test_run_stream_react_keeps_memory_empty(tmp_path):
     out = tmp_path / "run"
     record = run_stream(_config(), out_dir=out)
-    assert all(r == [0, 0, 0, 0] for r in record.rewards.values())
+    assert all(s.rewards == [0, 0, 0, 0] for s in record.streams)
     lines = (out / "memory.jsonl").read_text().splitlines()
     assert [json.loads(line) for line in lines] == [
         {"env_seed": env_seed, "episode_index": episode, "memory": {"kind": "none"}}
@@ -141,7 +143,7 @@ def test_run_stream_react_keeps_memory_empty(tmp_path):
 
 def test_run_stream_oracle_backend_all_rewards_one():
     record = run_stream(_config(backend="scripted:oracle"))
-    assert all(r == [1, 1, 1, 1] for r in record.rewards.values())
+    assert all(s.rewards == [1, 1, 1, 1] for s in record.streams)
 
 
 def test_run_stream_echo_demo_gain_after_episode_three():
@@ -153,8 +155,8 @@ def test_run_stream_echo_demo_gain_after_episode_three():
     react = run_stream(_config(env_seeds=tuple(range(4)), episodes_per_env=8))
     gain = gain_over_baseline(echo, react)
     assert all(g > 0 for g in gain[3:]), "gain positive from episode index 3 on"
-    for env_seed, rewards in echo.rewards.items():
-        series = cumulative_average(rewards)
+    for stream in echo.streams:
+        series = cumulative_average(stream.rewards)
         assert all(b >= a for a, b in zip(series[3:], series[4:])), (
             "cumulative average non-decreasing after episode 3"
         )
@@ -163,7 +165,9 @@ def test_run_stream_echo_demo_gain_after_episode_three():
 def test_run_stream_goal_sequences_shared_across_strategies():
     a = run_stream(_config())
     b = run_stream(_config(strategy="echo", backend="scripted:bfs-demo"))
-    assert a.goals == b.goals, "baseline pairing requires identical goal draws"
+    assert [s.goals for s in a.streams] == [s.goals for s in b.streams], (
+        "baseline pairing requires identical goal draws"
+    )
 
 
 def test_run_stream_deterministic_outputs(tmp_path):
@@ -270,13 +274,22 @@ def test_run_stream_default_workers_capped(monkeypatch):
     assert seen == [8, 3]
 
 
-def test_run_record_roundtrip_from_dir(tmp_path):
-    config = _config(strategy="echo", backend="scripted:bfs-demo")
+@pytest.mark.parametrize("strategy", sorted(STRATEGIES))
+def test_run_dir_reads_back_to_its_own_bytes(tmp_path, strategy):
+    """read_run_dir gives back the run run_stream wrote, strategy_calls aside
+    (a run dir does not keep them), and write_run_dir of it rewrites the same bytes."""
+    config = _config(strategy=strategy, backend="scripted:bfs-demo", env_seeds=(2, 0, 1))
     record = run_stream(config, out_dir=tmp_path / "run")
-    loaded = load_run_record(tmp_path / "run")
-    assert loaded.config == config == record.config
-    assert loaded.rewards == record.rewards
-    assert loaded.goals == record.goals
+    loaded = read_run_dir(tmp_path / "run")
+    assert loaded.strategy_calls == 0
+    for stream in record.streams:
+        stream.strategy_calls = 0
+    assert loaded == record
+    write_run_dir(tmp_path / "again", loaded)
+    files = sorted(p.name for p in (tmp_path / "run").iterdir())
+    assert files == sorted(p.name for p in (tmp_path / "again").iterdir())
+    for name in files:
+        assert (tmp_path / "again" / name).read_bytes() == (tmp_path / "run" / name).read_bytes()
 
 
 def test_config_json_roundtrip():
@@ -289,7 +302,7 @@ def test_validity_analysis_bfs_backed_is_perfect(tmp_path):
         env_seeds=(0, 1, 2), episodes_per_env=3, strategy="echo", backend="scripted:bfs-demo"
     )
     run_stream(config, out_dir=tmp_path / "run")
-    pools = load_validity_pools(tmp_path / "run", config)
+    pools = load_validity_pools(read_run_dir(tmp_path / "run"))
     assert pools, "echo stored workflows"
     worlds = {seed: generate(seed) for seed in (0, 1, 2)}
     report = validity_analysis(pools, worlds, "scripted:bfs-demo", n_samples=40)
@@ -308,7 +321,7 @@ def test_validity_analysis_builds_one_backend_per_env(tmp_path, monkeypatch):
         env_seeds=(0, 1, 2), episodes_per_env=3, strategy="echo", backend="scripted:bfs-demo"
     )
     run_stream(config, out_dir=tmp_path / "run")
-    pools = load_validity_pools(tmp_path / "run", config)
+    pools = load_validity_pools(read_run_dir(tmp_path / "run"))
     worlds = {seed: generate(seed) for seed in (0, 1, 2)}
     # Add a pair that deviates (a valid route that stops short) and, for env 1,
     # a hallucinated goal, so the report holds both failure classes.
@@ -354,7 +367,7 @@ def test_validity_analysis_sampling_is_deterministic(tmp_path):
         env_seeds=(0, 1, 2), episodes_per_env=2, strategy="echo", backend="scripted:bfs-demo"
     )
     run_stream(config, out_dir=tmp_path / "run")
-    pools = load_validity_pools(tmp_path / "run", config)
+    pools = load_validity_pools(read_run_dir(tmp_path / "run"))
     worlds = {seed: generate(seed) for seed in (0, 1, 2)}
     first = validity_analysis(pools, worlds, "scripted:bfs-demo", n_samples=5, sample_seed=3)
     second = validity_analysis(pools, worlds, "scripted:bfs-demo", n_samples=5, sample_seed=3)
