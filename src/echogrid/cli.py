@@ -22,7 +22,6 @@ from .strategies import STRATEGIES
 from .textview import render_goal
 from .world import (
     ACTION_NAMES,
-    GenConfig,
     GenerationError,
     ascii_map,
     canonical_json,
@@ -40,11 +39,9 @@ class CliError(Exception):
 
 @dataclass(frozen=True)
 class EnvsIndex:
-    """index.json of a gen output dir: its world seeds and their grid size."""
+    """index.json of a gen output dir: its world seeds."""
 
     seeds: tuple[int, ...]
-    width: int
-    height: int
 
 
 @cache  # built once: parse_args leaves a parser as it found it
@@ -109,17 +106,15 @@ def cmd_gen(args) -> int:
     if out.exists() and any(out.iterdir()) and not args.force:
         raise CliError(f"output dir {out} is not empty (use --force)")
     out.mkdir(parents=True, exist_ok=True)
-    config = GenConfig()
-    index = EnvsIndex(tuple(seeds), config.width, config.height)
     for seed in seeds:
         try:
-            world = generate(seed, config)
+            world = generate(seed)
         except GenerationError as exc:
             raise CliError(f"generation failed for seed {seed}: {exc}") from None
         (out / f"world_{seed}.json").write_text(to_json(world) + "\n", encoding="utf-8")
         if args.verbose:
             print(f"seed {seed}:\n{ascii_map(world)}\n", file=sys.stderr)
-    (out / INDEX_FILE).write_text(canonical_json(index) + "\n", encoding="utf-8")
+    (out / INDEX_FILE).write_text(canonical_json(EnvsIndex(tuple(seeds))) + "\n", encoding="utf-8")
     print(f"wrote {len(seeds)} world snapshots to {out}", file=sys.stderr)
     return 0
 
@@ -138,21 +133,16 @@ def _read_index(envs_dir: str) -> EnvsIndex:
     return index
 
 
-def _check_envs_current(envs_dir: str, index: EnvsIndex, config: RunConfig) -> None:
+def _check_envs_current(envs_dir: str, config: RunConfig) -> None:
     """Fail unless the envs dir holds what generate builds for this config now,
     so a generator change between gen and run cannot go unnoticed."""
-    if (index.width, index.height) != (config.grid_width, config.grid_height):
-        raise CliError(
-            f"{Path(envs_dir) / INDEX_FILE} gives a {index.width}x{index.height} grid; "
-            f"the run uses {config.grid_width}x{config.grid_height}"
-        )
     for seed in config.env_seeds:
         path = Path(envs_dir) / f"world_{seed}.json"
         try:
             snapshot = path.read_bytes()
         except OSError:
             raise CliError(f"{path} is missing; run gen again") from None
-        if snapshot != (to_json(generate(seed, config.gen_config())) + "\n").encode():
+        if snapshot != (to_json(generate(seed)) + "\n").encode():
             raise CliError(
                 f"{path} differs from the world generate builds for seed {seed}; run gen again"
             )
@@ -170,6 +160,8 @@ def _check_backend(spec: str) -> None:
 
 
 def cmd_run(args) -> int:
+    if args.workers is not None and args.workers < 1:
+        raise CliError(f"--workers must be >= 1, got {args.workers}")
     if args.resume_config:
         try:
             config = RunConfig.from_json(Path(args.resume_config).read_text(encoding="utf-8"))
@@ -187,11 +179,10 @@ def cmd_run(args) -> int:
                 strategy=args.strategy,
                 backend=args.backend,
                 goal_seed=args.goal_seed,
-                workers=args.workers,
             )
         except ValueError as exc:
             raise CliError(str(exc)) from None
-        _check_envs_current(args.envs, index, config)
+        _check_envs_current(args.envs, config)
     out = Path(args.out)
     if out.exists() and (not out.is_dir() or any(out.iterdir())):
         raise CliError(f"--out {out} is not empty; old files would mix with the new run")
@@ -200,7 +191,7 @@ def cmd_run(args) -> int:
         raise CliError(f"--out {out}: {ancestor} is not a directory")
     _check_backend(config.backend)
     try:
-        record = harness.run_stream(config, out_dir=out)
+        record = harness.run_stream(config, out_dir=out, workers=args.workers)
     except ValueError as exc:
         raise CliError(str(exc)) from None
     mean_final = harness.mean_cumulative_average(record)[-1]
@@ -268,7 +259,7 @@ def cmd_validate(args) -> int:
         print("nothing to validate: the run stored no workflows", file=sys.stderr)
         return 0
     try:
-        worlds = {seed: generate(seed, config.gen_config()) for seed in config.env_seeds}
+        worlds = {seed: generate(seed) for seed in config.env_seeds}
         report = harness.validity_analysis(
             pools, worlds, backend_spec, args.samples, sample_seed=args.sample_seed,
             horizon=config.horizon,

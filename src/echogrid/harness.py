@@ -25,11 +25,11 @@ from .policy import ReactPolicy
 from .rng import SplitMix64, stage_stream
 from .strategies import get_strategy, render_workflows
 from .textview import canonical_goal, parse_goal, render_goal
-from .world import GenConfig, Goal, GridWorld, canonical_json, check_goal, decode, generate, reset
+from .world import Goal, GridWorld, canonical_json, check_goal, decode, generate, reset
 
 logger = logging.getLogger(__name__)
 
-CONFIG_VERSION = 1
+CONFIG_VERSION = 2
 METRICS_HEADER = "env_seed,episode,goal,reward,steps,cum_avg_reward,strategy"
 MEMORY_LOG = "memory.jsonl"  # one snapshot line per episode, in trajectories.jsonl's order
 
@@ -40,28 +40,23 @@ SEED_LIST = "a non-empty list of distinct integers"
 
 @dataclass(frozen=True)
 class RunConfig:
+    """Every setting that decides a run's output files, and nothing else."""
+
     env_seeds: tuple[int, ...]
     episodes_per_env: int = 16
     horizon: int = 64
     strategy: str = "react"
     backend: str = "scripted:turn-left"
     goal_seed: int = 0
-    workers: Optional[int] = None
-    grid_width: int = 13
-    grid_height: int = 13
 
     def __post_init__(self) -> None:
         if not distinct_seeds(self.env_seeds):
             raise ValueError(f"run config env_seeds must be {SEED_LIST}, got {self.env_seeds}")
-        for name in ("episodes_per_env", "horizon", "workers"):  # workers may be None
+        for name in ("episodes_per_env", "horizon"):
             value = getattr(self, name)
-            if value is not None and value < 1:
+            if value < 1:
                 raise ValueError(f"run config {name} must be >= 1, got {value}")
-        self.gen_config()  # a grid generate cannot build raises here
-        get_strategy(self.strategy)  # so does an unknown strategy
-
-    def gen_config(self) -> GenConfig:
-        return GenConfig(width=self.grid_width, height=self.grid_height)
+        get_strategy(self.strategy)  # an unknown strategy raises here
 
     def to_json(self) -> str:
         return canonical_json({"version": CONFIG_VERSION, **vars(self)})
@@ -71,8 +66,8 @@ class RunConfig:
         doc = json.loads(text)
         if not isinstance(doc, dict):
             raise ValueError("run config is not a JSON object")
-        if doc.pop("version", None) != CONFIG_VERSION:
-            raise ValueError("unsupported run config version")
+        if (version := doc.pop("version", None)) != CONFIG_VERSION:
+            raise ValueError(f"run config version {version!r}: echogrid reads version {CONFIG_VERSION}")
         names = {f.name for f in fields(cls)}
         if set(doc) != names:
             raise ValueError(
@@ -176,7 +171,7 @@ def run_env_stream(
     config: RunConfig, env_seed: int, mirror_path: Optional[str] = None
 ) -> StreamResult:
     """All episodes for one env; memory evolves strictly in order."""
-    world = generate(env_seed, config.gen_config())
+    world = generate(env_seed)
     strategy = get_strategy(config.strategy)
     memory = strategy.new_memory()
     goals = sample_goals(
@@ -213,13 +208,16 @@ def run_env_stream(
     return stream
 
 
-def run_stream(config: RunConfig, out_dir: Optional[Path] = None) -> RunRecord:
-    """Execute every env stream and optionally persist the run."""
+def run_stream(
+    config: RunConfig, out_dir: Optional[Path] = None, workers: Optional[int] = None
+) -> RunRecord:
+    """Execute every env stream on a pool of workers threads and optionally
+    persist the run. The pool size changes no output file."""
     mirror_path = None
     if out_dir is not None and config.backend == "live":
         Path(out_dir).mkdir(parents=True, exist_ok=True)
         mirror_path = str(Path(out_dir) / "lm_calls.jsonl")
-    workers = config.workers or min(len(config.env_seeds), MAX_DEFAULT_WORKERS)
+    workers = workers or min(len(config.env_seeds), MAX_DEFAULT_WORKERS)
     if workers > 1 and len(config.env_seeds) > 1:
         with ThreadPoolExecutor(max_workers=workers) as pool:
             streams = list(
@@ -331,15 +329,17 @@ def mean_cumulative_average(record: RunRecord) -> list[float]:
 
 
 def gain_over_baseline(method: RunRecord, baseline: RunRecord) -> list[float]:
-    """Per-episode cumulative-average difference, averaged across envs; streams pair by seed."""
-    if (
-        sorted(method.config.env_seeds) != sorted(baseline.config.env_seeds)
-        or method.config.episodes_per_env != baseline.config.episodes_per_env
-        or method.config.goal_seed != baseline.config.goal_seed
-    ):
+    """Per-episode cumulative-average difference, averaged across envs; streams pair by seed.
+    The two configs must be equal but for strategy, env_seeds in any order."""
+    ours, theirs = (
+        {**vars(run.config), "env_seeds": set(run.config.env_seeds), "strategy": None}
+        for run in (method, baseline)
+    )
+    differ = sorted(name for name in ours if ours[name] != theirs[name])
+    if differ:
         raise ValueError(
-            "method and baseline runs must share env seeds, episode counts, "
-            "and goal-sampling seeds"
+            "method and baseline runs must differ only in strategy; "
+            f"they differ in {', '.join(differ)}"
         )
     base = {s.env_seed: cumulative_average(s.rewards) for s in baseline.streams}
     gains = [

@@ -93,7 +93,9 @@ def test_run_turn_left_all_rewards_zero(tmp_path):
 def test_run_echo_demo_beats_react(tmp_path):
     envs = _gen(tmp_path)
     echo = _run(tmp_path, envs, "echo-run", "--strategy", "echo", "--backend", "scripted:bfs-demo")
-    react = _run(tmp_path, envs, "react-run", "--strategy", "react")
+    react = _run(
+        tmp_path, envs, "react-run", "--strategy", "react", "--backend", "scripted:bfs-demo"
+    )
     out_csv = tmp_path / "eval" / "metrics.csv"
     svg = tmp_path / "eval" / "curves.svg"
     code = main(
@@ -119,23 +121,39 @@ def test_eval_identical_runs_flat_zero(tmp_path):
         assert float(row.rsplit(",", 1)[1]) == 0.0
 
 
-def test_eval_rejects_unpaired_runs(tmp_path, capsys):
+@pytest.mark.parametrize(
+    "field, flags",
+    [
+        ("backend", ["--backend", "scripted:turn-left"]),
+        ("horizon", ["--horizon", "16"]),
+        ("episodes_per_env", ["--episodes", "3"]),
+        ("goal_seed", ["--goal-seed", "5"]),
+        ("env_seeds", ["--envs", "other-envs"]),
+    ],
+    ids=["backend", "horizon", "episodes_per_env", "goal_seed", "env_seeds"],
+)
+def test_eval_rejects_unpaired_runs(tmp_path, capsys, field, flags):
+    """A baseline whose config differs from the method's in anything but the
+    strategy exits 1 naming the field, and eval writes no --out."""
     envs = _gen(tmp_path)
-    a = _run(tmp_path, envs, "a")
-    out = tmp_path / "b"
-    main(["run", "--envs", str(envs), "--episodes", "4", "--goal-seed", "5",
-          "--out", str(out)])
-    code = main(["eval", "--runs", str(a), "--baseline", str(out),
-                 "--out", str(tmp_path / "m.csv")])
-    assert code == 1
-    assert "goal-sampling" in capsys.readouterr().err
+    assert main(["gen", "--seeds", "0", "1", "5", "--out", str(tmp_path / "other-envs")]) == 0
+    flags = [str(tmp_path / flag) if flag == "other-envs" else flag for flag in flags]
+    echo = _run(tmp_path, envs, "echo", "--strategy", "echo", "--backend", "scripted:bfs-demo")
+    react = _run(tmp_path, envs, "react", "--backend", "scripted:bfs-demo", *flags)
+    csv = tmp_path / "m.csv"
+    capsys.readouterr()
+    assert main(["eval", "--runs", str(echo), "--baseline", str(react), "--out", str(csv)]) == 1
+    assert capsys.readouterr().err == (
+        f"error: method and baseline runs must differ only in strategy; they differ in {field}\n"
+    )
+    assert not csv.exists()
 
 
 def test_eval_golden_svg_snapshot(tmp_path):
     """Pin the chart bytes for a tiny fixture pair."""
     envs = _gen(tmp_path)
     echo = _run(tmp_path, envs, "echo", "--strategy", "echo", "--backend", "scripted:bfs-demo")
-    react = _run(tmp_path, envs, "react")
+    react = _run(tmp_path, envs, "react", "--backend", "scripted:bfs-demo")
     svg = tmp_path / "c.svg"
     main(["eval", "--runs", str(echo), "--baseline", str(react),
           "--out", str(tmp_path / "m.csv"), "--plot", str(svg)])
@@ -309,26 +327,21 @@ def test_run_rejects_bad_lm_rpm(tmp_path, capsys, monkeypatch):
 
 
 def test_live_run_with_horizon_0_creates_no_out(tmp_path, capsys, monkeypatch):
-    """A live run config out of range, with a grid generate cannot build, or
-    with an unknown strategy, exits 1 before the call mirror creates --out;
-    no request is sent."""
+    """A live run config out of range or with an unknown strategy exits 1
+    before the call mirror creates --out; no request is sent."""
     monkeypatch.setenv("LM_BASE_URL", "http://127.0.0.1:9")
     monkeypatch.setenv("LM_API_KEY", "test-key")
     monkeypatch.setenv("LM_MODEL", "test-model")
     monkeypatch.delenv("LM_RPM", raising=False)
     envs = _gen(tmp_path)
-    grid_12 = json.loads(RunConfig(env_seeds=(0, 1), backend="live").to_json())
-    grid_12["grid_width"] = 12
-    (tmp_path / "grid_12.json").write_text(json.dumps(grid_12))
-    zen = {**grid_12, "grid_width": 13, "strategy": "zen"}
+    zen = json.loads(RunConfig(env_seeds=(0, 1), backend="live").to_json())
+    zen["strategy"] = "zen"
     (tmp_path / "zen.json").write_text(json.dumps(zen))
     out = tmp_path / "r"
     capsys.readouterr()
     for source, message in (
         (["--envs", str(envs), "--backend", "live", "--horizon", "0"],
          "run config horizon must be >= 1"),
-        (["--resume-config", str(tmp_path / "grid_12.json")],
-         "cannot load config: grid 12x13 cannot host 2x2 rooms"),
         (["--resume-config", str(tmp_path / "zen.json")],
          "cannot load config: unknown strategy 'zen'"),
     ):
@@ -370,21 +383,14 @@ def _edit_snapshot(envs):
     path.write_text(json.dumps(doc, sort_keys=True, separators=(",", ":")) + "\n")
 
 
-def _widen_index(envs):
-    doc = json.loads((envs / "index.json").read_text())
-    doc["width"] = 15
-    (envs / "index.json").write_text(json.dumps(doc))
-
-
 @pytest.mark.parametrize(
     "drift, message",
     [
         (_edit_snapshot, "world_1.json differs"),
         (lambda envs: (envs / "world_2.json").unlink(), "world_2.json is missing"),
         (lambda envs: (envs / "world_0.json").write_bytes(b"\xff\xfe"), "world_0.json differs"),
-        (_widen_index, "15x13 grid"),
     ],
-    ids=["edited_snapshot", "missing_snapshot", "undecodable_snapshot", "wrong_width"],
+    ids=["edited_snapshot", "missing_snapshot", "undecodable_snapshot"],
 )
 def test_run_rejects_drifted_envs(tmp_path, capsys, drift, message):
     """run --envs exits 1 unless the dir holds what generate builds now."""
@@ -399,7 +405,7 @@ def test_run_rejects_drifted_envs(tmp_path, capsys, drift, message):
 _WRONG_TYPES = {
     "str_episodes": ("episodes_per_env", "2"),
     "bool_horizon": ("horizon", True),
-    "float_workers": ("workers", 1.5),
+    "float_goal_seed": ("goal_seed", 1.5),
     "int_strategy": ("strategy", 3),
     "null_goal_seed": ("goal_seed", None),
 }
@@ -407,9 +413,12 @@ _WRONG_TYPES = {
 
 @pytest.mark.parametrize(
     "edit",
-    ["unknown_key", "missing_key", "not_an_object", "no_seeds", "repeated_seed", *_WRONG_TYPES],
+    [
+        "unknown_key", "missing_key", "not_an_object", "no_seeds", "repeated_seed", "version_1",
+        *_WRONG_TYPES,
+    ],
 )
-def test_malformed_run_config_exits_1(tmp_path, edit):
+def test_malformed_run_config_exits_1(tmp_path, capsys, edit):
     """run --resume-config, validate and eval reject a malformed config.json with exit 1."""
     envs = _gen(tmp_path)
     run = _run(tmp_path, envs, "run")
@@ -422,6 +431,8 @@ def test_malformed_run_config_exits_1(tmp_path, edit):
         doc["env_seeds"] = []
     elif edit == "repeated_seed":
         doc["env_seeds"] = [0, 1, 0]
+    elif edit == "version_1":  # as written before workers and the grid size left the config
+        doc.update(version=1, workers=None, grid_width=13, grid_height=13)
     elif edit in _WRONG_TYPES:
         key, value = _WRONG_TYPES[edit]
         doc[key] = value
@@ -429,12 +440,17 @@ def test_malformed_run_config_exits_1(tmp_path, edit):
         doc = [1]
     (run / "config.json").write_text(json.dumps(doc))
     out = tmp_path / "resumed"
+    capsys.readouterr()
     assert main(["run", "--resume-config", str(run / "config.json"), "--out", str(out)]) == 1
     assert not out.exists()
     assert main(["validate", "--run", str(run)]) == 1
     csv = tmp_path / "m.csv"
     assert main(["eval", "--runs", str(run), "--baseline", str(run), "--out", str(csv)]) == 1
     assert not csv.exists()
+    err = capsys.readouterr().err
+    assert "Traceback" not in err
+    if edit == "version_1":
+        assert err.count("run config version 1: echogrid reads version 2") == 3
 
 
 def _append(row):
@@ -521,7 +537,9 @@ def test_eval_pairs_baseline_streams_by_env_seed(tmp_path, monkeypatch):
         ),
     )
     for name, seeds in (("react", (0, 1, 2)), ("react-shuffled", (2, 0, 1))):
-        config = RunConfig(env_seeds=seeds, episodes_per_env=4, goal_seed=9)
+        config = RunConfig(
+            env_seeds=seeds, episodes_per_env=4, backend="scripted:bfs-demo", goal_seed=9
+        )
         harness.run_stream(config, out_dir=tmp_path / name)
     monkeypatch.undo()
     react, shuffled = tmp_path / "react", tmp_path / "react-shuffled"
@@ -707,7 +725,7 @@ def test_no_bad_invocation_ends_in_a_traceback(tmp_path, capsys, monkeypatch):
     adir.mkdir()
     fresh = str(tmp_path / "fresh")
     bad = {}  # a copy of run whose config.json holds one value a run cannot use
-    for field, value in (("horizon", 0), ("episodes_per_env", 0), ("grid_width", 12)):
+    for field, value in (("horizon", 0), ("episodes_per_env", 0), ("strategy", "zen")):
         bad[field] = tmp_path / f"bad-{field}"
         bad[field].mkdir()
         for name in ("memory.jsonl", "metrics.csv", "trajectories.jsonl"):

@@ -18,40 +18,40 @@ from echogrid.harness import RunConfig, run_stream
 from echogrid.world import canonical_json
 
 PER_EPISODE_FILES = {
-    ("react", "scripted:turn-left"): "0946ca6928828a50ab3921f2bcd946512f4d903b94fa3581d120aa99ffdec445",
-    ("reflexion", "scripted:turn-left"): "aa5c2760f38141deaf2234ded26d802aaa28e1f84c97f7ec4d1df83e4db48681",
-    ("awm", "scripted:turn-left"): "fae25487a654785ce90e915f6df7016f2d479df843595ea73a9445599acdc850",
-    ("awmpp", "scripted:turn-left"): "58ca39b5f714a318bc4aee5903e826239219e97f1d41bb87de3dd30434f590f5",
-    ("echo", "scripted:turn-left"): "8e9b12628ee29da5c253432510eea332c70677b9dc906f356c721289289b2d0b",
-    ("react", "scripted:oracle"): "ec5a015fb84c59bc706d2d8515fa079fb4e2808e114b2c6414a3feee5e6dd4ae",
-    ("reflexion", "scripted:oracle"): "1bb7f9eee28fee9994617ee38f276e6c0720f3fa9937445beec8a6a69776ef54",
-    ("awm", "scripted:oracle"): "b4ce0ae92af20a5ebb58e3757f5a76dd550c48eeec4a1af68d9717a46792db87",
-    ("awmpp", "scripted:oracle"): "53480024c09b5d241add4f32907b7f848639e7a46017c6aa827d8cad8685a88f",
-    ("echo", "scripted:oracle"): "abe5ce4d6585b90c72d74e8cb8204e272f40fb33e66a6b962b39b2f8a50d6f26",
-    ("react", "scripted:bfs-demo"): "9fead0e07b33fe1a74fcf8f81e610b45242694f9388e911e5abda7e42476cfd6",
-    ("reflexion", "scripted:bfs-demo"): "8bb5836447056a1f410a1ad2cdf5ee30d04c36b0dc4ad871ca51cacc86e35def",
-    ("awm", "scripted:bfs-demo"): "65abe449f8bc0238ab2c35ca83f659256d21cc54d6ea8180ffd02e5769560a2e",
-    ("awmpp", "scripted:bfs-demo"): "04fc2e885d993c98489bd795c868c7318c090dc77448a2d9bff573e9989efd6a",
-    ("echo", "scripted:bfs-demo"): "8a2b12378180a0b8bae166102c41ac17bce0f7a4918d72a1d39c1b71155e9de4",
+    ("react", "scripted:turn-left"): "48eb33d2d55faca835d9871aa36948a5305921739d29aa6e462496a4126f0a0e",
+    ("reflexion", "scripted:turn-left"): "f069220c088068f7600ea90ff9f8c5d6d065669f6ebd7eb050927d8a99e39b86",
+    ("awm", "scripted:turn-left"): "a8e6ca447672199a847b974d08205c10137e897181a672009151b61ca47d8657",
+    ("awmpp", "scripted:turn-left"): "d59411cfd951dc486c2c53743b580e6b22912d34a6cd38c2c9a0853f429c6ab0",
+    ("echo", "scripted:turn-left"): "331fb3b0309acdc62df2f5c64536213e6c4fe549fae92bb702e3edae200573f2",
+    ("react", "scripted:oracle"): "e095026aada675d2a120939cb2bffac7872ba6dfcd728a537169f3cd0107be8d",
+    ("reflexion", "scripted:oracle"): "f60aee9f6e3e057ad1880b037f0c9e3e634e00ab97fb7ff79405809e70f3af18",
+    ("awm", "scripted:oracle"): "ed9d33bb6e841e5d0c532293372f732375f947143bb9a359fbb6bf4fdacd34ba",
+    ("awmpp", "scripted:oracle"): "aa1d76c5e7f3342829ecff992104f26f057961e762eb01076d8667aefb6bd646",
+    ("echo", "scripted:oracle"): "b8b61464a21f9472a75972fb0dec45227035b0d1dfb57c1eb9732c142a96394c",
+    ("react", "scripted:bfs-demo"): "aad4dc007f43debaa03a1da5188c76a1ad24e147f659c092fdbb5605b78c4a31",
+    ("reflexion", "scripted:bfs-demo"): "c45ea9c6d612ff08759615ed0b04105cbf38b40723fbd7edc7de01b03a91d490",
+    ("awm", "scripted:bfs-demo"): "84d739bccd1c7a6377e5b582af9f69f97af6b6208a85bc8a5d757a962d331cb7",
+    ("awmpp", "scripted:bfs-demo"): "f7b59342ef1fee4db756a4820e93ca45572b1bdd7bcb44fd8d982693ccad8b73",
+    ("echo", "scripted:bfs-demo"): "9163cad66a1c09ab7d832f22b8ba33a0a0388b6ce4e7cb16ac98b6ece8ad7226",
 }
 
 
 GOLDEN = {
-    ("react", "scripted:turn-left"): "1bb5e734ec7db8dffabe535c09d1ac5f2b61e6ef1cd44bfb48b7b8c58159c434",
-    ("reflexion", "scripted:turn-left"): "9a41917426d80d392252cbc433eb14ba3207fa20aa56def1ea1b6febc675c1c4",
-    ("awm", "scripted:turn-left"): "1b60d624d5ca7d082b23a3d724b4ce2c0fe42d9d4816815069e92b458e8dae57",
-    ("awmpp", "scripted:turn-left"): "db8899a5a69a25b93cdacc6a3c1e1ae9195e517ef6aeb99521e6462caf6837f3",
-    ("echo", "scripted:turn-left"): "89b82296a86c61218f63866a0428aecec0ceac5572d431c95b87f23cdab9c406",
-    ("react", "scripted:oracle"): "44db407d04b91901f9f0e4386ac9dbcd96707eabdc93bd6fcc20d2eba80163e7",
-    ("reflexion", "scripted:oracle"): "dc4239014106eaef34d4b1adf03b7a2517a1b136002457534c5dc165b76a2bc4",
-    ("awm", "scripted:oracle"): "60ff0a2ce22ea4b916e95270df90d9c375b23291d1473da5d363f541d2d96288",
-    ("awmpp", "scripted:oracle"): "46eb7041aaa5916c7aefc37803b258387bdef56440417afeea4fe253a720c7df",
-    ("echo", "scripted:oracle"): "320ab1f2b30ebd142a5dc0b80bf18fbf009b2dd5ef756737cab83971ff8173e7",
-    ("react", "scripted:bfs-demo"): "43f1fc7e0d8a34fba4c22f8e5490cc5f1f2cc922ca6aa21e4e8cc42fae7b516d",
-    ("reflexion", "scripted:bfs-demo"): "fc0e51e73420ae343e529106a4978da22f16f11b311feebec1f5c5314e29b7d3",
-    ("awm", "scripted:bfs-demo"): "c69eaa2a612a0f736b28f5ee56300e901956b983c3c48457f0703c70aac524f0",
-    ("awmpp", "scripted:bfs-demo"): "9d1aabcae30d4968eed42a9cbc5ef1c4cdd2b2b9ed1c8e287a281cfb17304f47",
-    ("echo", "scripted:bfs-demo"): "dd600bed8c7ebd7579e87274c162d9c688c68bd288081455a686cd84052ca1a4",
+    ("react", "scripted:turn-left"): "064f436a8c52b6a57624ec640b4f60c26ff1d4a106578d59db9e5ed27bcb0a6a",
+    ("reflexion", "scripted:turn-left"): "57853c8850ac199caaf2c0d447aa515ab15b522b60d9de79220c9c9100f43c0f",
+    ("awm", "scripted:turn-left"): "f6685e79fb5334e0b867d642caec88cc2a8f95a0a304ee33fc562392fc7467cb",
+    ("awmpp", "scripted:turn-left"): "0dc30edce148b72a27343f120918d86479d8529ee223270d1c0fda80fe23e35d",
+    ("echo", "scripted:turn-left"): "0d58041c09daf2b77379af97eab3ee848b77094353833749347c406b88f29b80",
+    ("react", "scripted:oracle"): "93f21d64d23f28da5eacc0b5d4c612d61c6347ad5e4850d5c127ba7905dbf9d1",
+    ("reflexion", "scripted:oracle"): "bdab6e45e93d981249a8155fddeb81b5178d61ac982cbe23b8c4c0771c7ef8c4",
+    ("awm", "scripted:oracle"): "3a96f86b0778ba23165a5508f4d46cafaad966978d3399c7a962d4254495c12b",
+    ("awmpp", "scripted:oracle"): "4ea2ca6a34312c5922437af4424d686cafe7b7a8ee2ba0e55b1599f20920ac28",
+    ("echo", "scripted:oracle"): "1956c5af2a2ecaddefa4345a1a9a32ae1dc1c850ce38e2216f68604b798ff0ee",
+    ("react", "scripted:bfs-demo"): "829e860768c861b6a647ca730c7f5d645d988ff8b8bc54e43fb27daa71d0e679",
+    ("reflexion", "scripted:bfs-demo"): "036b5ab145ecb78fa8a2b9ecce35dc2a58da0ae1afd7d2a623c006463155542b",
+    ("awm", "scripted:bfs-demo"): "acac16e00568c14f8bbe0b45e880f3a4bd2e35d6f82b679e8eeb516950bec440",
+    ("awmpp", "scripted:bfs-demo"): "d34025a391de0857592bdc6a242bbddbcd066e09ea336381b42064779609bbe8",
+    ("echo", "scripted:bfs-demo"): "0e2b7a9694feae4a015f0b1bfe8b95481f29bafeb8bc3ff26af75c520a498733",
 }
 
 
@@ -64,10 +64,8 @@ def run_dir_digest(root) -> str:
 
 
 def _run(root, strategy, backend) -> None:
-    config = RunConfig(
-        env_seeds=(0, 1, 2), episodes_per_env=6, strategy=strategy, backend=backend, workers=1
-    )
-    run_stream(config, out_dir=root)
+    config = RunConfig(env_seeds=(0, 1, 2), episodes_per_env=6, strategy=strategy, backend=backend)
+    run_stream(config, out_dir=root, workers=1)
 
 
 def per_episode_files(root) -> None:

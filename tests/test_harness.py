@@ -99,9 +99,9 @@ def test_gain_over_baseline_rejects_mismatches():
     a = _record("echo", {0: [1, 0]}, goal_seed=1, episodes_per_env=2)
     wrong_envs = _record("react", {1: [0, 0]}, goal_seed=1, episodes_per_env=2)
     wrong_seed = _record("react", {0: [0, 0]}, goal_seed=2, episodes_per_env=2)
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match="differ in env_seeds$"):
         gain_over_baseline(a, wrong_envs)
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match="differ in goal_seed$"):
         gain_over_baseline(a, wrong_seed)
 
 
@@ -123,7 +123,6 @@ def _config(**overrides):
         strategy="react",
         backend="scripted:turn-left",
         goal_seed=0,
-        workers=1,
     )
     defaults.update(overrides)
     return RunConfig(**defaults)
@@ -152,7 +151,9 @@ def test_run_stream_echo_demo_gain_after_episode_three():
         backend="scripted:bfs-demo",
     )
     echo = run_stream(config)
-    react = run_stream(_config(env_seeds=tuple(range(4)), episodes_per_env=8))
+    react = run_stream(
+        _config(env_seeds=tuple(range(4)), episodes_per_env=8, backend="scripted:bfs-demo")
+    )
     gain = gain_over_baseline(echo, react)
     assert all(g > 0 for g in gain[3:]), "gain positive from episode index 3 on"
     for stream in echo.streams:
@@ -171,20 +172,16 @@ def test_run_stream_goal_sequences_shared_across_strategies():
 
 
 def test_run_stream_deterministic_outputs(tmp_path):
-    """The worker count changes no output file but config.json, memory.jsonl included."""
+    """The worker count changes no output file, config.json and memory.jsonl included."""
     for workers, name in ((2, "a"), (1, "b")):
-        config = _config(strategy="echo", backend="scripted:bfs-demo", workers=workers)
-        run_stream(config, out_dir=tmp_path / name)
+        config = _config(strategy="echo", backend="scripted:bfs-demo")
+        run_stream(config, out_dir=tmp_path / name, workers=workers)
 
     def files(root):
-        return {
-            str(p.relative_to(root)): p.read_bytes()
-            for p in sorted(root.rglob("*"))
-            if p.is_file() and p.name != "config.json"
-        }
+        return {str(p.relative_to(root)): p.read_bytes() for p in sorted(root.rglob("*"))}
 
     a, b = files(tmp_path / "a"), files(tmp_path / "b")
-    assert any(name.startswith("memory") for name in a)
+    assert "config.json" in a and any(name.startswith("memory") for name in a)
     assert a == b
 
 
@@ -269,8 +266,8 @@ def test_run_stream_default_workers_capped(monkeypatch):
             return []
 
     monkeypatch.setattr(harness, "ThreadPoolExecutor", RecordingPool)
-    run_stream(_config(env_seeds=tuple(range(20)), workers=None))
-    run_stream(_config(env_seeds=(0, 1, 2), workers=None))
+    run_stream(_config(env_seeds=tuple(range(20))))
+    run_stream(_config(env_seeds=(0, 1, 2)))
     assert seen == [8, 3]
 
 

@@ -398,9 +398,9 @@ def test_live_run_closes_every_connection(keepalive_server, monkeypatch):
     monkeypatch.setattr(http.client.HTTPConnection, "connect", recording_connect)
     config = RunConfig(
         env_seeds=(0, 1), episodes_per_env=2, horizon=3, strategy="reflexion",
-        backend="live", workers=2,
+        backend="live",
     )
-    run_stream(config)
+    run_stream(config, workers=2)
     assert len(handler.served) == 2 * (2 * 3 + 2)
     assert len(opened) == handler.connections == (2 if lm._KEEP_ALIVE else len(handler.served))
     assert all(conn.sock is None for conn in opened)
@@ -544,7 +544,7 @@ def test_live_run_sends_fixed_sampling_settings(stub_server, monkeypatch):
 # dir (relative path and bytes of each file, sorted by path).
 _LIVE_BODIES_SHA256 = "4919af3dc59f4fab72f80a2bc01bce7beaf3e3eb8c729dcee7cd9b45c459f732"
 _LIVE_MIRROR_SHA256 = "8f378e4ec5dfe94373ce011a66c855847ddb6f5f131685b01b730525e4f7448b"
-_LIVE_RUN_DIR_SHA256 = "76007ef9ac40b000592012160d4732118a484433a41f14a51290377c57ed7e9c"
+_LIVE_RUN_DIR_SHA256 = "ad5e76a6941234b4578e30939efafefad3b698f0707cdc43b30737d719aa3547"
 
 
 def test_live_wire_format_matches_pinned_digest(stub_server, monkeypatch, tmp_path):
@@ -556,10 +556,10 @@ def test_live_wire_format_matches_pinned_digest(stub_server, monkeypatch, tmp_pa
     _live_env(monkeypatch, url)
     config = RunConfig(
         env_seeds=(0, 1), episodes_per_env=2, horizon=5, strategy="reflexion",
-        backend="live", workers=1,
+        backend="live",
     )
     out = tmp_path / "run"
-    run_stream(config, out_dir=out)
+    run_stream(config, out_dir=out, workers=1)
     assert len(handler.raw) == 24
     for _, content_type, authorization in handler.raw:
         assert content_type == "application/json"

@@ -641,7 +641,7 @@ def test_summarize_and_identify_goals_replies_match_pinned_digest(monkeypatch):
     real_make_backend = harness.make_backend
     monkeypatch.setattr(harness, "make_backend", recording_make_backend)
     config = harness.RunConfig(
-        env_seeds=tuple(range(20)), strategy="echo", backend="scripted:bfs-demo", workers=1
+        env_seeds=tuple(range(20)), strategy="echo", backend="scripted:bfs-demo"
     )
     for seed in config.env_seeds:
         harness.run_env_stream(config, seed)

@@ -404,9 +404,8 @@ def test_menu_line_cache_holds_one_line_per_flag_set():
 
     before = menu_line.cache_info()
     run_stream(
-        RunConfig(
-            env_seeds=tuple(range(10)), strategy="echo", backend="scripted:bfs-demo", workers=1
-        )
+        RunConfig(env_seeds=tuple(range(10)), strategy="echo", backend="scripted:bfs-demo"),
+        workers=1,
     )
     after = menu_line.cache_info()
     assert after.hits + after.misses - before.hits - before.misses > 400
