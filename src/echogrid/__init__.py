@@ -4,10 +4,9 @@ from .episode import Trajectory, run_episode
 from .harness import RunConfig, cumulative_average, gain_over_baseline, run_stream, sample_goals
 from .strategies import get_strategy
 from .textview import render, render_goal
-from .world import GenConfig, Goal, GridWorld, generate, reset, step
+from .world import Goal, GridWorld, generate, reset, step
 
 __all__ = [
-    "GenConfig",
     "Goal",
     "GridWorld",
     "RunConfig",

@@ -22,7 +22,6 @@ from .strategies import STRATEGIES
 from .textview import render_goal
 from .world import (
     ACTION_NAMES,
-    GenerationError,
     ascii_map,
     canonical_json,
     decode,
@@ -107,10 +106,7 @@ def cmd_gen(args) -> int:
         raise CliError(f"output dir {out} is not empty (use --force)")
     out.mkdir(parents=True, exist_ok=True)
     for seed in seeds:
-        try:
-            world = generate(seed)
-        except GenerationError as exc:
-            raise CliError(f"generation failed for seed {seed}: {exc}") from None
+        world = generate(seed)
         (out / f"world_{seed}.json").write_text(to_json(world) + "\n", encoding="utf-8")
         if args.verbose:
             print(f"seed {seed}:\n{ascii_map(world)}\n", file=sys.stderr)

@@ -2,10 +2,12 @@
 
 The live backend POSTs the OpenAI-compatible /chat/completions wire format
 through http.client, on one kept-alive connection per backend (one backend
-per env stream), with the *_proxy variables resolved as urllib does; this
-module alone reads its LM_* variables. Tests reach it only through a loopback
-stub. Parsing is total: any input text yields either a value or a ParseError,
-never another exception.
+per env stream), with the *_proxy variables resolved as urllib does; where
+socket has TCP_CORK, a request's headers and body leave as one segment. Each
+backend appends its calls to the lm_calls.jsonl mirror through one handle of
+its own. This module alone reads its LM_* variables. Tests reach it only
+through a loopback stub. Parsing is total: any input text yields either a
+value or a ParseError, never another exception.
 """
 
 from __future__ import annotations
@@ -113,6 +115,10 @@ def _proxy_for(target: urllib.request.Request) -> Optional[tuple[str, dict[str, 
 # call ~40 ms, so each request re-arms TCP_QUICKACK; where the option does
 # not exist (it is Linux's), no connection is kept past its response.
 _KEEP_ALIVE = hasattr(socket, "TCP_QUICKACK")
+# http.client sends a request's headers and its body with two send() calls.
+# Corked from before the first until after the second, they leave together
+# as one segment (where the request fits one) instead of two.
+_CORK = hasattr(socket, "TCP_CORK")
 
 
 class LiveBackend:
@@ -121,7 +127,9 @@ class LiveBackend:
     One backend serves one env stream, so its calls never overlap. It keeps
     one HTTP connection alive across its calls, and the JSON text of the
     previous request's messages: a request that starts with equal messages
-    encodes only the rest. close() closes the connection.
+    encodes only the rest. Given a mirror_path, it opens that file for
+    append on its first completed call and writes each call's record with
+    one write(). close() closes the connection and the mirror.
     """
 
     MAX_ATTEMPTS = 3
@@ -164,6 +172,7 @@ class LiveBackend:
                 self._selector = target.full_url
                 self._headers.update(proxy_headers)
         self._conn: Optional[http.client.HTTPConnection] = None
+        self._mirror = None  # unbuffered binary append handle on mirror_path
         # The previous request's messages (system message first), each as
         # its items, its wire text and its sort_keys text for the mirror.
         self._items: list[tuple] = []
@@ -180,6 +189,13 @@ class LiveBackend:
         )
 
     def close(self) -> None:
+        self._drop()
+        if self._mirror is not None:
+            self._mirror.close()
+            self._mirror = None
+
+    def _drop(self) -> None:
+        """Close the connection; the next request opens a new one."""
         if self._conn is not None:
             self._conn.close()
             self._conn = None
@@ -212,9 +228,15 @@ class LiveBackend:
             if self._tunnel is not None:
                 host, headers = self._tunnel
                 self._conn.set_tunnel(host, headers=headers)
+            self._conn.connect()
+        sock = self._conn.sock
+        if _CORK:
+            sock.setsockopt(socket.IPPROTO_TCP, socket.TCP_CORK, 1)
         self._conn.request("POST", self._selector, body, self._headers)
+        if _CORK:
+            sock.setsockopt(socket.IPPROTO_TCP, socket.TCP_CORK, 0)
         if _KEEP_ALIVE:
-            self._conn.sock.setsockopt(socket.IPPROTO_TCP, socket.TCP_QUICKACK, 1)
+            sock.setsockopt(socket.IPPROTO_TCP, socket.TCP_QUICKACK, 1)
         return self._conn.getresponse()
 
     def _post(self, body: bytes) -> tuple[int, bytes]:
@@ -230,15 +252,15 @@ class LiveBackend:
             except ConnectionError:
                 if not reused:
                     raise
-                self.close()
+                self._drop()
                 response = self._send(body)
             with response:
                 raw = response.read()
         except BaseException:
-            self.close()
+            self._drop()
             raise
         if response.will_close or not _KEEP_ALIVE:
-            self.close()
+            self._drop()
         return response.status, raw
 
     def complete(self, request: LMRequest) -> str:
@@ -276,8 +298,9 @@ class LiveBackend:
                 raise BackendError("malformed chat completion response", status=200, body=text)
             self.calls += 1
             if self.mirror_path:
-                with open(self.mirror_path, "a", encoding="utf-8") as fh:
-                    fh.write(f"{mirror_head}{json.dumps(content)}}}\n")
+                if self._mirror is None:
+                    self._mirror = open(self.mirror_path, "ab", buffering=0)
+                self._mirror.write(f"{mirror_head}{json.dumps(content)}}}\n".encode("utf-8"))
             return content
         raise BackendError(
             f"chat completion failed after {self.MAX_ATTEMPTS} attempts", last_status, last_body
@@ -295,7 +318,7 @@ def _first_json_object(text: str):
     while idx != -1:
         try:
             value, _ = _DECODER.raw_decode(text, idx)
-        except ValueError:
+        except (ValueError, RecursionError):  # nested past the decoder's limit
             idx = text.find("{", idx + 1)
             continue
         if isinstance(value, dict):

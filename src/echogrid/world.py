@@ -64,10 +64,7 @@ TOGGLE_DOOR = 5
 ACTION_NAMES = ("turn left", "turn right", "go forward", "pick up", "put down", "toggle door")
 
 SNAPSHOT_VERSION = 1
-
-
-class GenerationError(ValueError):
-    """Raised when a generation config cannot produce a valid world."""
+WIDTH = HEIGHT = 13  # every world: walls around 2x2 rooms of 5x5 floor cells
 
 
 @dataclass(frozen=True)
@@ -76,17 +73,6 @@ class Goal:
 
     color: str
     kind: str
-
-
-@dataclass(frozen=True)
-class GenConfig:
-    width: int = 13
-    height: int = 13
-
-    def __post_init__(self) -> None:
-        w, h = self.width, self.height
-        if w % 2 == 0 or h % 2 == 0 or w < 7 or h < 7:
-            raise GenerationError(f"grid {w}x{h} cannot host 2x2 rooms; need odd width/height >= 7")
 
 
 @dataclass
@@ -157,9 +143,8 @@ class GridWorld:
         return self.objects[self.agent.carrying]
 
 
-def _layout(config: GenConfig):
-    """Static wall layout for the 2x2 partition of a size GenConfig accepts."""
-    w, h = config.width, config.height
+def _layout(w: int, h: int):
+    """Static wall layout for the 2x2 partition of an odd-sided w x h grid."""
     mid_x, mid_y = w // 2, h // 2
     rows = []
     for y in range(h):
@@ -189,16 +174,18 @@ def _set_cell(rows: list[str], pos: tuple[int, int], char: str) -> None:
     rows[y] = rows[y][:x] + char + rows[y][x + 1 :]
 
 
-def generate(seed: int, config: GenConfig = GenConfig()) -> GridWorld:
-    """Build a world fully determined by (seed, config).
+def generate(seed: int) -> GridWorld:
+    """Build a WIDTH x HEIGHT world fully determined by seed.
 
     Stage streams: "doors" places one door per shared wall and colors them,
     "objects" picks four distinct (kind, color) pairs and one floor cell per
     room, "agent" spawns the agent. Object cells adjacent to a door slot are
     excluded so no doorway can ever be blocked at reset, which is what keeps
-    every goal solvable within the episode horizon.
+    every goal solvable within the episode horizon. Each room's 5x5 interior
+    loses at most two cells to door adjacency and one to its object, so both
+    object and agent always find a cell.
     """
-    rows, rooms, walls = _layout(config)
+    rows, rooms, walls = _layout(WIDTH, HEIGHT)
 
     door_rng = stage_stream(seed, "doors")
     doors: list[Door] = []
@@ -223,8 +210,6 @@ def generate(seed: int, config: GenConfig = GenConfig()) -> GridWorld:
             for c in [(x, y) for y in range(room[1], room[3] + 1) for x in range(room[0], room[2] + 1)]
             if c not in door_adjacent
         ]
-        if not candidates:
-            raise GenerationError("room interior too small to host an object")
         pos = obj_rng.choice(candidates)
         objects.append(WorldObject(kind=kind, color=color, position=pos, home_position=pos))
 
@@ -237,14 +222,12 @@ def generate(seed: int, config: GenConfig = GenConfig()) -> GridWorld:
         for x in range(room[0], room[2] + 1)
         if (x, y) not in occupied
     ]
-    if not spawn_candidates:
-        raise GenerationError("no free floor cell for the agent")
     position = agent_rng.choice(spawn_candidates)
     facing = FACINGS[agent_rng.randbelow(4)]
 
     return GridWorld(
-        width=config.width,
-        height=config.height,
+        width=WIDTH,
+        height=HEIGHT,
         cells=rows,
         doors=doors,
         objects=objects,

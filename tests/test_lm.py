@@ -381,6 +381,91 @@ def test_live_backend_without_quickack_closes_each_connection(keepalive_server, 
     assert handler.on_connection == [1, 2, 3]
 
 
+@_KEPT
+@pytest.mark.skipif(not hasattr(socket, "TCP_CORK"), reason="socket has no TCP_CORK here")
+def test_live_backend_releases_the_cork_after_each_request(keepalive_server, monkeypatch):
+    """A request is corked only while http.client writes it: a cork left on
+    would hold the next request's last segment for up to 200 ms."""
+    url, handler = keepalive_server
+    handler.plan = [(200, _completion_body("ok"))]
+    backend = _backend(monkeypatch, url)
+    try:
+        for _ in range(3):
+            assert backend.complete(_request()) == "ok"
+            assert backend._conn.sock.getsockopt(socket.IPPROTO_TCP, socket.TCP_CORK) == 0
+    finally:
+        backend.close()
+    assert handler.connections == 1
+
+
+def test_live_backend_opens_its_mirror_once(keepalive_server, monkeypatch, tmp_path):
+    """A backend's calls share one mirror handle, also where every response
+    drops its connection, and close() leaves it closed."""
+    url, handler = keepalive_server
+    handler.plan = [(200, _completion_body("ok"))]
+    monkeypatch.setattr(lm, "_KEEP_ALIVE", False)
+    opened = []
+
+    def recording_open(*args, **kwargs):
+        opened.append(open(*args, **kwargs))
+        return opened[-1]
+
+    monkeypatch.setattr(lm, "open", recording_open, raising=False)
+    mirror = tmp_path / "lm_calls.jsonl"
+    backend = _backend(monkeypatch, url, str(mirror))
+    try:
+        for _ in range(3):
+            assert backend.complete(_request()) == "ok"
+        assert len(opened) == 1 and not opened[0].closed
+    finally:
+        backend.close()
+    assert handler.on_connection == [1, 2, 3]
+    assert opened[0].closed
+    assert len(mirror.read_text(encoding="utf-8").splitlines()) == 3
+
+
+def test_live_run_whose_calls_all_fail_writes_no_mirror(stub_server, monkeypatch, tmp_path):
+    """The mirror is opened by the first completed call, so a run with none
+    leaves no lm_calls.jsonl."""
+    from echogrid.harness import RunConfig, run_stream
+
+    url, handler = stub_server
+    handler.plan = [(400, "bad request")]
+    _live_env(monkeypatch, url)
+    config = RunConfig(
+        env_seeds=(0, 1), episodes_per_env=2, horizon=3, strategy="reflexion", backend="live"
+    )
+    out = tmp_path / "run"
+    run_stream(config, out_dir=out)
+    assert len(handler.served) == 2 * 2 * 2  # one agent and one reflect call per episode
+    assert (out / "trajectories.jsonl").is_file()
+    assert not (out / "lm_calls.jsonl").exists()
+
+
+def test_live_mirror_holds_whole_records_with_two_workers(keepalive_server, monkeypatch, tmp_path):
+    """Two env streams on two workers append through a handle each, with no
+    lock: every line is one whole record, and the lines are those of the
+    same run on one worker. Their order across streams is arrival order."""
+    from echogrid.harness import RunConfig, run_stream
+
+    url, handler = keepalive_server
+    handler.plan = [(200, _completion_body('{"thought":"t","choice":0,"reflection":"r"}'))]
+    _live_env(monkeypatch, url)
+    config = RunConfig(
+        env_seeds=(0, 1), episodes_per_env=2, horizon=5, strategy="reflexion", backend="live"
+    )
+    lines = {}
+    for workers in (1, 2):
+        out = tmp_path / f"workers-{workers}"
+        run_stream(config, out_dir=out, workers=workers)
+        lines[workers] = (out / "lm_calls.jsonl").read_text(encoding="utf-8").split("\n")
+        assert lines[workers].pop() == ""
+    assert len(lines[2]) == 2 * 2 * (5 + 1)
+    for line in lines[2]:
+        assert set(json.loads(line)) == {"request", "response"}
+    assert sorted(lines[2]) == sorted(lines[1])
+
+
 def test_live_run_closes_every_connection(keepalive_server, monkeypatch):
     """Each env stream keeps one connection and closes it when it ends."""
     from echogrid.harness import RunConfig, run_stream
@@ -705,12 +790,78 @@ def test_parse_summary_normalizes():
     assert json.loads(out) == {"0": "Agent spawned in a room", "1": "later"}
 
 
+def _nested_reply(depth: int) -> str:
+    """An agent reply whose object holds a list nested depth deep."""
+    return '{"thought": "x", "choice": 1, "k": ' + "[" * depth + "]" * depth + "}"
+
+
+# Past the JSON decoder's nesting limit on every Python: up to 3.11 that limit
+# is the recursion limit (1,000 deep is past it), from 3.12 a C limit of
+# thousands.
+_TOO_DEEP = 100_000
+
+
+@pytest.mark.parametrize("depth", [1_000, _TOO_DEEP])
+def test_parsers_reject_a_reply_nested_too_deep(depth):
+    """A reply whose only object nests past the decoder's limit is a
+    ParseError from each parser, never a RecursionError."""
+    text = _nested_reply(depth)
+    try:
+        json.loads(text)
+    except RecursionError:
+        pass
+    else:
+        pytest.skip(f"this Python decodes {depth}-deep nesting")
+    for parse in (
+        parse_choice,
+        lambda t: parse_json_payload(t, {"thought": str}),
+        parse_summary,
+    ):
+        with pytest.raises(ParseError, match="no JSON object"):
+            parse(text)
+
+
+def test_parsers_scan_past_an_object_nested_too_deep():
+    text = _nested_reply(_TOO_DEEP) + ' then {"thought": "t", "choice": 2}'
+    assert parse_choice(text) == ("t", 2)
+    assert parse_json_payload(text, {"thought": str}) == {"thought": "t"}
+
+
+def test_live_run_survives_replies_nested_too_deep(stub_server, monkeypatch, tmp_path):
+    """A model that answers every call with a reply nested past the decoder's
+    limit fails each episode by policy, and the run still exits 0 and writes
+    a run dir that reads back."""
+    from echogrid.cli import main
+    from echogrid.harness import read_run_dir
+
+    url, handler = stub_server
+    handler.plan = [(200, _completion_body(_nested_reply(_TOO_DEEP)))]
+    _live_env(monkeypatch, url)
+    envs, out = tmp_path / "envs", tmp_path / "run"
+    assert main(["gen", "--count", "2", "--out", str(envs)]) == 0
+    code = main(
+        [
+            "run", "--envs", str(envs), "--backend", "live", "--strategy", "reflexion",
+            "--episodes", "2", "--horizon", "3", "--out", str(out),
+        ]
+    )
+    assert code == 0
+    notes = [
+        json.loads(line)["note"]
+        for line in (out / "trajectories.jsonl").read_text(encoding="utf-8").splitlines()
+    ]
+    assert len(notes) == 2 * 2
+    assert all(note.startswith("policy failure:") for note in notes)
+    record = read_run_dir(out)
+    assert [stream.rewards for stream in record.streams] == [[0, 0], [0, 0]]
+
+
 def _garbage(rng: SplitMix64) -> str:
     pieces = (
         "{", "}", "[", "]", '"', ":", ",", "null", "true", "2", "-7", "1e9",
         '{"thought"', '"choice"', "\\", "\n", " ", "π", "assistant", "choice",
         '{"a": {"b": 1}}', "```", "0x1f", '{"thought": "t", "choice": 9}',
-        '{"thought": "t", "choice": -1}',
+        '{"thought": "t", "choice": -1}', '{"k": ' + "[" * _TOO_DEEP,
     )
     return "".join(pieces[rng.randbelow(len(pieces))] for _ in range(rng.randbelow(30)))
 
