@@ -17,7 +17,7 @@ from pathlib import Path
 from . import harness
 from .episode import read_trajectories
 from .harness import SEED_LIST, RunConfig, distinct_seeds, load_validity_pools, read_run_dir
-from .lm import BackendError, LiveBackend
+from .lm import BackendError, CredentialsError, LiveBackend
 from .strategies import STRATEGIES
 from .textview import render_goal
 from .world import (
@@ -320,7 +320,7 @@ def main(argv=None) -> int:
     args = _parser().parse_args(argv if argv is not None else sys.argv[1:])
     try:
         return _COMMANDS[args.command](args)
-    except CliError as exc:
+    except (CliError, CredentialsError) as exc:  # refused credentials end run and validate
         message = str(exc)
     except OSError as exc:  # a path that cannot be read, created or written
         message = f"{exc.filename}: {exc.strerror}" if exc.filename else str(exc)

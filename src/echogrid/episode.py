@@ -10,7 +10,7 @@ from __future__ import annotations
 
 import json
 from dataclasses import dataclass, field
-from typing import Iterator, Protocol
+from typing import Iterator, Optional, Protocol
 
 from .textview import Observation, render, render_goal
 from .world import (
@@ -116,9 +116,27 @@ def format_trajectory(traj: Trajectory) -> str:
     return "\n".join(lines)
 
 
-def serialize(traj: Trajectory) -> str:
-    """One canonical JSONL record (no trailing newline) keyed by field name."""
-    return canonical_json({"version": TRAJECTORY_SCHEMA_VERSION, **vars(traj)})
+def serialize(traj: Trajectory, step_json: Optional[dict[tuple, str]] = None) -> str:
+    """One canonical JSONL record (no trailing newline) keyed by field name.
+
+    Every byte comes from canonical_json: the record is encoded with no steps,
+    and the steps' texts, joined, go in at its "steps":[] key, which is the
+    only place that text can occur, since a JSON string holds no unescaped
+    quote. step_json maps each step's field values to its canonical_json text;
+    a caller that keeps it across the trajectories of one env stream encodes
+    each distinct step of the stream once.
+    """
+    if step_json is None:
+        step_json = {}
+    texts = []
+    for rec in traj.steps:
+        key = (rec.observation_text, rec.thought, rec.action_index, rec.was_valid, rec.step_reward)
+        text = step_json.get(key)
+        if text is None:
+            text = step_json[key] = canonical_json(rec)
+        texts.append(text)
+    head = canonical_json({"version": TRAJECTORY_SCHEMA_VERSION, **vars(traj), "steps": []})
+    return head.replace('"steps":[]', '"steps":[' + ",".join(texts) + "]", 1)
 
 
 def deserialize(record: str) -> Trajectory:

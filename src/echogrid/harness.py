@@ -170,7 +170,9 @@ def _env_goal_seed(goal_seed: int, env_seed: int) -> int:
 def run_env_stream(
     config: RunConfig, env_seed: int, mirror_path: Optional[str] = None
 ) -> StreamResult:
-    """All episodes for one env; memory evolves strictly in order."""
+    """All episodes for one env; memory evolves strictly in order. The stream
+    keeps one step_json dict for serialize, so each distinct step it records
+    is encoded once; the dict is dropped when the stream ends."""
     world = generate(env_seed)
     strategy = get_strategy(config.strategy)
     memory = strategy.new_memory()
@@ -178,6 +180,7 @@ def run_env_stream(
         world, config.episodes_per_env, _env_goal_seed(config.goal_seed, env_seed)
     )
     stream = StreamResult(env_seed)
+    step_json: dict[tuple, str] = {}
     backend = make_backend(config.backend, world, mirror_path=mirror_path)
     try:
         for index, goal in enumerate(goals):
@@ -199,7 +202,7 @@ def run_env_stream(
                     config.strategy, index, env_seed, exc,
                 )
             stream.strategy_calls += backend.calls - calls
-            stream.add_trajectory(serialize(trajectory) + "\n", trajectory)
+            stream.add_trajectory(serialize(trajectory, step_json) + "\n", trajectory)
             snapshot = MemoryRecord(env_seed, index, strategy.memory_snapshot(memory))
             stream.memory_lines.append(canonical_json(snapshot) + "\n")
             stream.memory = memory

@@ -54,6 +54,20 @@ class BackendError(Exception):
         self.body = body[:500]
 
 
+class CredentialsError(Exception):
+    """The endpoint refused the run's credentials (HTTP 401 or 403).
+
+    Not a BackendError: no policy or strategy call can succeed after it, so
+    neither absorbs it as an episode failure, and the run ends.
+    """
+
+    def __init__(self, status: int):
+        super().__init__(
+            f"chat completion refused with HTTP {status}; check {ENV_API_KEY} and {ENV_BASE_URL}"
+        )
+        self.status = status
+
+
 @dataclass
 class LMRequest:
     system_prompt: str
@@ -134,6 +148,7 @@ class LiveBackend:
 
     MAX_ATTEMPTS = 3
     RETRY_STATUSES = {429, 500, 502, 503, 504}
+    REFUSED_STATUSES = {401, 403}  # raise CredentialsError, which ends the run
     TIMEOUT = 60.0  # seconds to connect, and for each read, per attempt
     RETRY_DELAY = 1.0  # seconds before the first retry; doubled for each later one
     # Sampling settings, the same for agent and offline calls.
@@ -283,6 +298,8 @@ class LiveBackend:
             if status in self.RETRY_STATUSES:
                 last_status, last_body = status, text
                 continue
+            if status in self.REFUSED_STATUSES:
+                raise CredentialsError(status)
             if status != 200:
                 raise BackendError(f"chat completion failed with HTTP {status}", status, text)
             try:

@@ -1,6 +1,7 @@
 """Episode loop contracts and trajectory serialization."""
 
 import json
+from dataclasses import astuple
 
 import pytest
 
@@ -17,7 +18,7 @@ from echogrid.episode import (
 from echogrid.oracle import OracleBackend, bfs_plan
 from echogrid.policy import ReactPolicy
 from echogrid.rng import SplitMix64
-from echogrid.world import COLORS, KINDS, Goal, copy_world, reset
+from echogrid.world import COLORS, KINDS, Goal, canonical_json, copy_world, reset
 
 from conftest import CannedBackend
 
@@ -143,16 +144,63 @@ def _random_trajectory(rng: SplitMix64) -> Trajectory:
     )
 
 
+def _fuzzed_corpus(seed: int) -> list[Trajectory]:
+    rng = SplitMix64(seed)
+    return [_random_trajectory(rng) for _ in range(100)]
+
+
 def test_serialize_roundtrip_fuzzed():
-    rng = SplitMix64(2024)
-    for _ in range(100):
-        traj = _random_trajectory(rng)
+    for traj in _fuzzed_corpus(2024):
         assert deserialize(serialize(traj)) == traj
 
 
+def _edge_trajectories() -> list[Trajectory]:
+    """Records whose text could be mistaken for the "steps":[] key, and step lists
+    that are empty, one step repeated, steps shared between trajectories, or
+    steps that differ in one field."""
+    tricky = 'a "steps":[] key, a "quote", a back\\slash \\" and \u00e9\u6f22\U0001f600 \\'
+    goal = Goal("red", "key")
+    odd = StepRecord(tricky, tricky, 2, False, 0)
+    shared = [StepRecord("obs a", "left", 0, True, 0), StepRecord("obs b", "up", 2, False, 0)]
+    return [
+        Trajectory(goal=goal, steps=[odd], note=tricky),
+        Trajectory(goal=goal, note='"steps":[]'),
+        Trajectory(goal=goal, steps=[StepRecord("obs c", "spin", 0, True, 0)] * 64, note="x"),
+        Trajectory(
+            goal=goal, steps=[*shared, StepRecord("obs d", "pick", 3, True, 1)],
+            success=True, reward=1, env_seed=5, episode_index=1,
+        ),
+        Trajectory(goal=goal, steps=[shared[1], odd, shared[0]], env_seed=5, episode_index=2),
+        Trajectory(  # steps that differ in one field each
+            goal=goal,
+            steps=[
+                StepRecord(*fields)
+                for fields in (
+                    ("obs e", "t", 0, True, 0), ("obs f", "t", 0, True, 0),
+                    ("obs e", "u", 0, True, 0), ("obs e", "t", 1, True, 0),
+                    ("obs e", "t", 0, False, 0), ("obs e", "t", 0, True, 1),
+                )
+            ],
+        ),
+    ]
+
+
+def test_serialize_with_a_shared_step_dict_changes_no_byte():
+    """serialize's steps spliced from a step_json dict shared by every record give
+    the line one canonical_json call gives for the whole record, and so does
+    serialize with no dict; the dict keeps one text per distinct step."""
+    corpus = _fuzzed_corpus(2024) + _edge_trajectories()
+    step_json = {}
+    for traj in corpus:
+        oracle = canonical_json({"version": 1, **vars(traj)})
+        assert serialize(traj, step_json) == oracle
+        assert serialize(traj) == oracle
+    distinct = {astuple(rec) for traj in corpus for rec in traj.steps}
+    assert len(step_json) == len(distinct)
+
+
 def test_serialization_byte_stable():
-    rng = SplitMix64(99)
-    corpus = [_random_trajectory(rng) for _ in range(100)]
+    corpus = _fuzzed_corpus(99)
     first = [serialize(t) for t in corpus]
     second = [serialize(deserialize(line)) for line in first]
     assert first == second

@@ -21,6 +21,7 @@ from hypothesis import strategies as st
 from echogrid import lm
 from echogrid.lm import (
     BackendError,
+    CredentialsError,
     LiveBackend,
     LMRequest,
     ParseError,
@@ -440,6 +441,105 @@ def test_live_run_whose_calls_all_fail_writes_no_mirror(stub_server, monkeypatch
     assert len(handler.served) == 2 * 2 * 2  # one agent and one reflect call per episode
     assert (out / "trajectories.jsonl").is_file()
     assert not (out / "lm_calls.jsonl").exists()
+
+
+@pytest.mark.parametrize("status", [401, 403])
+def test_live_backend_raises_refused_credentials_apart(stub_server, monkeypatch, status):
+    """A refused key is not a BackendError, so no policy or strategy absorbs it."""
+    url, handler = stub_server
+    handler.plan = [(status, '{"error": "invalid api key"}')]
+    backend = _backend(monkeypatch, url)
+    try:
+        with pytest.raises(CredentialsError, match=f"HTTP {status}") as excinfo:
+            backend.complete(_request())
+    finally:
+        backend.close()
+    assert not isinstance(excinfo.value, BackendError)
+    assert excinfo.value.status == status
+    assert len(handler.served) == 1
+
+
+def _cli_run(envs: Path, out: Path, *flags: str) -> int:
+    from echogrid.cli import main
+
+    return main(
+        [
+            "run", "--envs", str(envs), "--backend", "live", "--strategy", "reflexion",
+            "--episodes", "2", "--horizon", "3", "--out", str(out), *flags,
+        ]
+    )
+
+
+def _error_lines(err: str) -> list[str]:
+    assert "Traceback" not in err
+    return [line for line in err.splitlines() if line.startswith("error:")]
+
+
+def test_live_run_ends_on_refused_credentials(stub_server, monkeypatch, tmp_path, capsys):
+    """A 2-env, 2-worker run whose calls are all refused with HTTP 401 exits 1
+    with one error line and writes none of the run dir's files."""
+    from echogrid.cli import main
+
+    url, handler = stub_server
+    handler.plan = [(401, '{"error": "invalid api key"}')]
+    _live_env(monkeypatch, url)
+    envs, out = tmp_path / "envs", tmp_path / "run"
+    assert main(["gen", "--count", "2", "--out", str(envs)]) == 0
+    capsys.readouterr()
+    assert _cli_run(envs, out, "--workers", "2") == 1
+    errors = _error_lines(capsys.readouterr().err)
+    assert len(errors) == 1 and "HTTP 401" in errors[0]
+    # At most the first call of each stream: a stream not yet started when
+    # the other raised is cancelled.
+    assert 1 <= len(handler.served) <= 2
+    for name in ("config.json", "trajectories.jsonl", "metrics.csv", "lm_calls.jsonl"):
+        assert not (out / name).exists()
+
+
+def test_live_validate_ends_on_refused_credentials(stub_server, monkeypatch, tmp_path, capsys):
+    """validate --backend live on a scripted run dir stops at the first refused call."""
+    from echogrid.cli import main
+
+    url, handler = stub_server
+    handler.plan = [(401, '{"error": "invalid api key"}')]
+    _live_env(monkeypatch, url)
+    envs, out = tmp_path / "envs", tmp_path / "run"
+    assert main(["gen", "--count", "2", "--out", str(envs)]) == 0
+    code = main(
+        [
+            "run", "--envs", str(envs), "--backend", "scripted:bfs-demo", "--strategy", "echo",
+            "--episodes", "4", "--out", str(out),
+        ]
+    )
+    assert code == 0
+    capsys.readouterr()
+    assert main(["validate", "--run", str(out), "--backend", "live"]) == 1
+    captured = capsys.readouterr()
+    errors = _error_lines(captured.err)
+    assert len(errors) == 1 and "HTTP 401" in errors[0]
+    assert captured.out == ""
+    assert len(handler.served) == 1
+
+
+def test_live_run_fails_only_the_episode_on_http_400(stub_server, monkeypatch, tmp_path, capsys):
+    """An HTTP 400 can come from one over-long prompt: it fails that episode by
+    policy, and the run exits 0 with a whole run dir."""
+    from echogrid.cli import main
+    from echogrid.harness import read_run_dir
+
+    url, handler = stub_server
+    handler.plan = [(400, "context length exceeded")]
+    _live_env(monkeypatch, url)
+    envs, out = tmp_path / "envs", tmp_path / "run"
+    assert main(["gen", "--count", "2", "--out", str(envs)]) == 0
+    assert _cli_run(envs, out, "--workers", "2") == 0
+    assert _error_lines(capsys.readouterr().err) == []
+    notes = [
+        json.loads(line)["note"]
+        for line in (out / "trajectories.jsonl").read_text(encoding="utf-8").splitlines()
+    ]
+    assert notes == ["policy failure: backend error: chat completion failed with HTTP 400"] * 4
+    assert [stream.rewards for stream in read_run_dir(out).streams] == [[0, 0], [0, 0]]
 
 
 def test_live_mirror_holds_whole_records_with_two_workers(keepalive_server, monkeypatch, tmp_path):
